@@ -4,12 +4,14 @@ activations and log-softmax.
 ``conv2d`` is formulated on im2col/col2im: a stride-tricks window view of the
 input is reshaped into a column matrix and contracted against the flattened
 kernel with **one batched matmul** per convolution — no Python loops over
-kernel offsets or groups.  Dense, depthwise and grouped convolutions all run
-the same path (a depthwise conv is just ``groups == channels``).  The
-backward pass is two more matmuls: the weight gradient contracts the saved
-columns against the output gradient, and the input gradient is the standard
-transposed convolution (stride-dilated output gradient, full padding,
-spatially-flipped kernel) expressed through the same im2col helper.
+kernel offsets or groups.  Dense and grouped convolutions run this path.
+The backward pass is two more matmuls: the weight gradient contracts the
+saved columns against the output gradient, and the input gradient is the
+standard transposed convolution (stride-dilated output gradient, full
+padding, spatially-flipped kernel) expressed through the same im2col helper.
+Depthwise convolutions (``groups == C_in == C_out``), where im2col
+degenerates into ``C`` tiny GEMMs, run a channels-last einsum kernel
+instead (:func:`_depthwise_conv`).
 
 The original shift-and-accumulate implementation is retained as
 :func:`_reference_conv2d` — a slow, independently-written oracle used by the
@@ -18,7 +20,6 @@ equivalence tests and the ``repro bench`` baseline measurements.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 
 import numpy as np
@@ -441,78 +442,140 @@ def _im2col_conv(xp: Tensor, weight: Tensor, stride: int, groups: int,
     )
 
 
-#: Below this much tap work (``N*C*oH*oW*kH*kW`` multiply-accumulates) the
-#: direct depthwise kernel's 2*k² python-level tap operations cost more than
-#: the im2col GEMM overhead they avoid — dispatch accordingly (tests pin it
-#: to 0 to force the direct path at unit-test sizes).
-_DW_DIRECT_MIN_ELEMS = 100_000
+def _channels_last_windows(
+    canvas: np.ndarray, k_h: int, k_w: int, stride: int, out_h: int, out_w: int
+) -> np.ndarray:
+    """Read-only tap view (N, oH, oW, kH, kW, C) of a channels-last canvas.
 
-#: Environment kill-switch: ``REPRO_DW_DIRECT=0`` pins every depthwise
-#: convolution to the im2col path (mirrors ``REPRO_BATCHED_SOFT`` /
-#: ``REPRO_BUFFER_POOL``; the search bench uses it to time the pre-kernel
-#: baseline).
-DW_DIRECT_ENV = "REPRO_DW_DIRECT"
-
-
-def dw_direct_enabled() -> bool:
-    """Whether the direct depthwise kernel may be dispatched (default on)."""
-    return os.environ.get(DW_DIRECT_ENV, "1") != "0"
-
-
-def _depthwise_direct(xp: Tensor, weight: Tensor, op_name: str) -> Tensor:
-    """Direct depthwise convolution (stride 1, already-padded input).
-
-    The im2col formulation turns a depthwise stage into ``C`` batched
-    (1, k²) x (k², oH*oW) GEMMs — BLAS at its worst shape — after paying a
-    k²-fold column materialisation (and, past :data:`_COL_CHUNK_BYTES`, a
-    second one to recompute the columns in the backward).  Per-op profiling
-    of soft supernet steps at paper widths puts that ``dwconv2d`` backward
-    at ~80% of total step time.  This node instead contracts a zero-copy
-    sliding-window view directly:
-
-    * forward: ``einsum('ncijhw,cij->nchw')`` over :func:`_window_view`;
-    * weight grad: ``einsum('ncijhw,nchw->cij')`` over the same view (no
-      column matrix ever materialises, so nothing is recomputed);
-    * input grad: k² shift-accumulate taps
-      ``gx[:, :, i:i+oH, j:j+oW] += g * w[:, i, j]`` — cheaper than an
-      einsum over the padded-gradient window because the output gradient is
-      smaller than the padded input.
-
-    Measured ~2x faster than the im2col path for k in {5, 7} at search
-    widths; k == 3 and strided cases stay on im2col
-    (:func:`conv2d` dispatches only profitable shapes here).
+    Every tap slice keeps the canvas's contiguous channel axis innermost, so
+    an einsum over this view runs its multiply-accumulates along C.
     """
-    x_data, w_data = xp.data, weight.data
-    n, c, _, _ = x_data.shape
-    k = w_data.shape[2]
-    win = _window_view(x_data, k, k, 1)
-    out_h, out_w = win.shape[4], win.shape[5]
-    w2 = w_data.reshape(c, k, k)
-    pool = pool_for_op(xp, weight)
-    out = (
-        pool.acquire((n, c, out_h, out_w), x_data.dtype)
-        if pool is not None
-        else np.empty((n, c, out_h, out_w), dtype=x_data.dtype)
+    s_n, s_h, s_w, s_c = canvas.strides
+    return np.lib.stride_tricks.as_strided(
+        canvas,
+        shape=(canvas.shape[0], out_h, out_w, k_h, k_w, canvas.shape[3]),
+        strides=(s_n, s_h * stride, s_w * stride, s_h, s_w, s_c),
+        writeable=False,
     )
-    np.einsum("ncijhw,cij->nchw", win, w2, out=out)
-    need_input_grad = xp.requires_grad or xp.backward_fn is not None
+
+
+def _dilated_slices(
+    offset: int, stride: int, count: int, size: int
+) -> tuple[slice, slice]:
+    """Place rows ``t < count`` at ``offset + t*stride`` of a ``size``-row
+    canvas: the (source, destination) slices, dropping rows that fall
+    outside the canvas."""
+    lo = max(0, -(offset // stride))
+    hi = max(lo, min(count, (size - 1 - offset) // stride + 1))
+    return slice(lo, hi), slice(offset + lo * stride, offset + hi * stride, stride)
+
+
+def _depthwise_conv(x: Tensor, weight: Tensor, stride: int, padding: int) -> Tensor:
+    """Depthwise convolution in a channels-last layout (every k, stride, pad).
+
+    The im2col formulation turns a depthwise conv into ``C`` batched
+    (1, k²) x (k², oH*oW) GEMMs after a k²-fold column copy, and an NCHW
+    sliding-window einsum iterates a short spatial axis innermost; both ran
+    depthwise convs at tens of M MAC/s.  This kernel instead copies the
+    input once into a zero-padded (N, H+2p, W+2p, C) canvas — the padding
+    is part of that copy, so no ``pad2d`` node is recorded — and contracts
+    strided tap slices whose innermost axis is the contiguous channel axis:
+
+    * forward: the k² multiply-accumulates of every output pixel,
+      ``einsum('nhwijc,ijc->nhwc')`` over the canvas's tap view;
+    * weight grad: per tap, the product with the output gradient summed
+      over (N, oH, oW) rows, ``einsum('nhwijc,nhwc->ijc')`` over the same
+      view;
+    * input grad: the output gradient scattered to its stride-dilated
+      positions in a second channels-last canvas, then correlated with the
+      spatially flipped kernel over the H x W interior only (the transposed
+      convolution; the padding border is never computed).
+
+    Each side converts NCHW <-> NHWC once.  The backward keeps only the
+    padded canvas and the (kH, kW, C) kernel, never a column matrix.
+    Canvas, kernel and output come from the :class:`BufferPool` when the
+    node joins the tape (retired by ``backward``); the accumulator and
+    backward scratch are call-scoped checkouts.  As in
+    :func:`_im2col_conv`, the input gradient is skipped for graph-external
+    inputs.
+    """
+    x_data, w_data = x.data, weight.data
+    dtype = x_data.dtype
+    n, c, h, w = x_data.shape
+    k_h, k_w = w_data.shape[2], w_data.shape[3]
+    h_p, w_p = h + 2 * padding, w + 2 * padding
+    out_h = _conv_output_size(h_p, k_h, stride)
+    out_w = _conv_output_size(w_p, k_w, stride)
+
+    pool = pool_for_op(x, weight)
+
+    def acquire(shape: tuple[int, ...]) -> np.ndarray:
+        return pool.acquire(shape, dtype) if pool is not None else np.empty(shape, dtype)
+
+    canvas = acquire((n, h_p, w_p, c))
+    if padding:
+        # Recycled buffers carry stale data: zero only the border strips,
+        # the interior is overwritten by the layout copy below.
+        canvas[:, :padding] = 0.0
+        canvas[:, padding + h :] = 0.0
+        canvas[:, padding : padding + h, :padding] = 0.0
+        canvas[:, padding : padding + h, padding + w :] = 0.0
+    canvas[:, padding : padding + h, padding : padding + w] = x_data.transpose(
+        0, 2, 3, 1
+    )
+    w_taps = acquire((k_h, k_w, c))
+    w_taps[...] = w_data.reshape(c, k_h, k_w).transpose(1, 2, 0)
+    taps = _channels_last_windows(canvas, k_h, k_w, stride, out_h, out_w)
+
+    acc = get_pool().acquire((n, out_h, out_w, c), dtype)
+    np.einsum("nhwijc,ijc->nhwc", taps, w_taps, out=acc)
+    out = acquire((n, c, out_h, out_w))
+    out[...] = acc.transpose(0, 3, 1, 2)
+    get_pool().release(acc)
+    need_input_grad = x.requires_grad or x.backward_fn is not None
 
     def backward(grad: np.ndarray):
-        grad_w = np.einsum("ncijhw,nchw->cij", win, grad).reshape(w_data.shape)
-        if not need_input_grad:
-            return None, grad_w
-        grad_x = np.zeros(x_data.shape, dtype=grad.dtype)
         bpool = get_pool()
-        scratch = bpool.acquire((n, c, out_h, out_w), grad.dtype)
-        for i in range(k):
-            for j in range(k):
-                np.multiply(grad, w2[:, i, j][None, :, None, None], out=scratch)
-                grad_x[:, :, i : i + out_h, j : j + out_w] += scratch
-        bpool.release(scratch)
+        g = bpool.acquire((n, out_h, out_w, c), grad.dtype)
+        g[...] = grad.transpose(0, 2, 3, 1)
+        grad_w_taps = bpool.acquire((k_h, k_w, c), grad.dtype)
+        np.einsum("nhwijc,nhwc->ijc", taps, g, out=grad_w_taps)
+        # Returned grads outlive this call while their scratch goes back to
+        # the pool, so they are always copies: ascontiguousarray would hand
+        # out a view wherever the transpose is already contiguous (C = 1,
+        # H = W = 1, a 1x1 kernel).
+        grad_w = grad_w_taps.transpose(2, 0, 1).copy().reshape(w_data.shape)
+        bpool.release(grad_w_taps)
+        if not need_input_grad:
+            bpool.release(g)
+            return None, grad_w
+        # Transposed convolution: output-gradient row t feeds interior rows
+        # t*stride - padding + i (tap i).  Placed at row
+        # t*stride + kH-1-padding of an (H+kH-1)-row canvas, it is read by
+        # interior row y through canvas rows y .. y+kH-1, so the input
+        # gradient is a stride-1 correlation with the flipped kernel.  Rows
+        # that land outside the canvas only fed the zero border.
+        g_h, g_w = h + k_h - 1, w + k_w - 1
+        src_h, dst_h = _dilated_slices(k_h - 1 - padding, stride, out_h, g_h)
+        src_w, dst_w = _dilated_slices(k_w - 1 - padding, stride, out_w, g_w)
+        g_canvas = bpool.acquire((n, g_h, g_w, c), grad.dtype, zero=True)
+        g_canvas[:, dst_h, dst_w] = g[:, src_h, src_w]
+        bpool.release(g)
+        gx = bpool.acquire((n, h, w, c), grad.dtype)
+        np.einsum(
+            "nhwijc,ijc->nhwc",
+            _channels_last_windows(g_canvas, k_h, k_w, 1, h, w),
+            w_taps[::-1, ::-1],
+            out=gx,
+        )
+        bpool.release(g_canvas)
+        grad_x = gx.transpose(0, 3, 1, 2).copy()
+        bpool.release(gx)
         return grad_x, grad_w
 
     return make_op(
-        out, (xp, weight), backward, op_name,
+        out, (x, weight), backward, "dwconv2d",
+        retire=(canvas, w_taps),
         pooled_out=pool is not None and pool.owns(out),
     )
 
@@ -528,8 +591,9 @@ def conv2d(
 
     ``weight`` is shaped ``(C_out, C_in // groups, kH, kW)``.  ``groups == 1``
     is a dense convolution; ``groups == C_in`` with a channel multiplier of 1
-    is a depthwise convolution (the MBConv middle layer).  All group counts
-    share one im2col + batched-matmul path.
+    is a depthwise convolution (the MBConv middle layer) and runs
+    :func:`_depthwise_conv`; every other group count shares one im2col +
+    batched-matmul path.
     """
     if x.ndim != 4:
         raise ValueError(f"conv2d expects NCHW input, got shape {x.shape}")
@@ -545,27 +609,10 @@ def conv2d(
             f"{c_in // groups}"
         )
 
+    if groups == c_in and c_out == c_in:
+        return _depthwise_conv(x, weight, stride, padding)
     xp = pad2d(x, padding)
-    if groups == 1:
-        op_name = "conv2d"
-    elif groups == c_in and c_out == c_in:
-        op_name = "dwconv2d"
-        # Direct-kernel dispatch (see _depthwise_direct): stride-1 square
-        # kernels of 5+ taps at sizes where the im2col GEMM is the
-        # bottleneck rather than the python-level tap loop.
-        if (
-            stride == 1
-            and k_h == k_w
-            and k_h >= 5
-            and dw_direct_enabled()
-            and x.shape[0] * c_in * k_h * k_w
-            * _conv_output_size(x.shape[2] + 2 * padding, k_h, stride)
-            * _conv_output_size(x.shape[3] + 2 * padding, k_w, stride)
-            >= _DW_DIRECT_MIN_ELEMS
-        ):
-            return _depthwise_direct(xp, weight, op_name)
-    else:
-        op_name = "gconv2d"
+    op_name = "conv2d" if groups == 1 else "gconv2d"
     return _im2col_conv(xp, weight, stride, groups, op_name)
 
 

@@ -23,6 +23,7 @@ make them.
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import json
 import os
@@ -1063,10 +1064,12 @@ def render_serving_report(report: dict[str, Any]) -> str:
 
 # ----------------------------------------------------- search bench suite
 #
-# ``repro bench --suite search`` -> BENCH_search.json: the batched soft-mode
-# evaluator (:mod:`repro.nas.batched`) against the serial per-candidate
-# oracle it replaces — per block shape at the paper's MBConv widths, over
-# full soft architecture steps, and over a bilevel epoch.  Serial numbers
+# ``repro bench --suite search`` -> BENCH_search.json: the channels-last
+# depthwise kernel against the im2col GEMM per arch-step depthwise shape,
+# and the batched soft-mode evaluator (:mod:`repro.nas.batched`) against
+# the serial per-candidate oracle it replaces — per block shape at the
+# paper's MBConv widths, over full soft architecture steps, and over a
+# bilevel epoch.  Serial numbers
 # come from the same binary with ``REPRO_BATCHED_SOFT=0``, so the comparison
 # is the kill-switch itself.  Weight steps sample hard architectures
 # (``hard_weight_step=True``), so only the architecture half of the epoch is
@@ -1078,26 +1081,19 @@ SEARCH_BENCH_SCALE = {"input_size": 32, "num_classes": 16}
 
 
 @contextlib.contextmanager
-def _env_flag(name: str, enabled: bool) -> Iterator[None]:
-    """Scoped environment toggle (restores the prior value)."""
-    saved = os.environ.get(name)
-    os.environ[name] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = saved
-
-
-@contextlib.contextmanager
 def _batched_soft(enabled: bool) -> Iterator[None]:
     """Scoped ``REPRO_BATCHED_SOFT`` toggle (restores the prior value)."""
     from repro.nas.batched import BATCHED_SOFT_ENV
 
-    with _env_flag(BATCHED_SOFT_ENV, enabled):
+    saved = os.environ.get(BATCHED_SOFT_ENV)
+    os.environ[BATCHED_SOFT_ENV] = "1" if enabled else "0"
+    try:
         yield
+    finally:
+        if saved is None:
+            os.environ.pop(BATCHED_SOFT_ENV, None)
+        else:
+            os.environ[BATCHED_SOFT_ENV] = saved
 
 
 def _interleaved_min_cpu(
@@ -1211,6 +1207,86 @@ def bench_search_blocks(quick: bool = False) -> dict[str, Any]:
     return {"batch": batch, "cases": cases, "geomean_speedup": geomean}
 
 
+def _arch_step_dw_shapes(searcher) -> list[tuple[int, int, int, int]]:
+    """(channels, resolution, k, stride) of every depthwise conv that one
+    soft arch step of ``searcher`` runs, sorted.
+
+    Walks the supernet's candidate rows as
+    :func:`repro.nas.batched.soft_block_mixture` buckets them: a kernel-size
+    bucket of at least ``MIN_BUCKET_CANDIDATES`` MBConv candidates runs one
+    conv over its stacked expanded channels, a smaller bucket runs each
+    candidate's own conv.
+    """
+    from repro.nas.batched import MIN_BUCKET_CANDIDATES, _is_mbconv
+
+    net = searcher.supernet
+    shapes = set()
+    for geom, row in zip(net.space.block_geometries(), net._candidates):
+        buckets: dict[int, list[int]] = {}
+        for cand in row:
+            if _is_mbconv(cand):
+                buckets.setdefault(cand.op.kernel, []).append(
+                    cand.expand.out_channels
+                )
+        for k, widths in buckets.items():
+            if len(widths) >= MIN_BUCKET_CANDIDATES:
+                widths = [sum(widths)]
+            shapes.update((c, geom.in_h, k, geom.stride) for c in widths)
+    return sorted(shapes)
+
+
+def bench_search_kernel(quick: bool = False) -> dict[str, Any]:
+    """Depthwise conv fwd+bwd per arch-step shape: kernel vs im2col GEMM.
+
+    Times ``ops_nn._depthwise_conv`` (the kernel every depthwise conv runs)
+    against ``ops_nn._im2col_conv`` (the grouped-conv path, which depthwise
+    convs ran before the kernel) on the same leaves, with the buffer pool on
+    as in the search loop, over the depthwise shapes of the paper-width arch
+    step (:func:`_arch_step_dw_shapes` of :func:`_make_paper_searcher`, at
+    its batch size).  Samples interleave (see
+    :func:`_interleaved_min_cpu`); ``kernel_speedup`` is the geometric mean
+    of the per-shape ratios.
+    """
+    rounds = 3 if quick else 7
+    rng = np.random.default_rng(0)
+    searcher, _ = _make_paper_searcher()
+    batch = searcher.config.batch_size
+    shapes = _arch_step_dw_shapes(searcher)
+    del searcher
+
+    def fwd_bwd(conv, x, w, stride, pad):
+        x.zero_grad()
+        w.zero_grad()
+        if conv == "im2col":
+            out = ops_nn._im2col_conv(ops_nn.pad2d(x, pad), w, stride,
+                                      x.shape[1], "dwconv2d")
+        else:
+            out = ops_nn._depthwise_conv(x, w, stride, pad)
+        out.sum().backward()
+
+    cases = []
+    with buffer_pool(True):
+        for channels, res, k, stride in shapes:
+            x = tensor(rng.standard_normal((batch, channels, res, res)),
+                       requires_grad=True)
+            w = tensor(rng.standard_normal((channels, 1, k, k)),
+                       requires_grad=True)
+            timed = _interleaved_min_cpu({
+                conv: functools.partial(fwd_bwd, conv, x, w, stride, k // 2)
+                for conv in ("im2col", "kernel")
+            }, rounds)
+            x.zero_grad()
+            w.zero_grad()
+            cases.append({
+                "name": f"c{channels}_r{res}_k{k}_s{stride}",
+                "im2col_ms": timed["im2col"] * 1e3,
+                "kernel_ms": timed["kernel"] * 1e3,
+                "speedup": timed["im2col"] / timed["kernel"],
+            })
+    geomean = float(np.exp(np.mean([np.log(c["speedup"]) for c in cases])))
+    return {"batch": batch, "cases": cases, "kernel_speedup": geomean}
+
+
 def _make_paper_searcher():
     import dataclasses
 
@@ -1235,31 +1311,21 @@ def _make_paper_searcher():
 
 
 def bench_search_arch_step(quick: bool = False) -> dict[str, Any]:
-    """Full soft architecture steps at paper widths, three configurations.
+    """Full soft architecture steps at paper widths, serial vs batched.
 
     ``EDDSearcher.arch_step`` draws a soft sample (``hard_arch_step=False``)
-    and runs forward+backward over all M candidates of every block — the
-    exact workload this PR targets.  Three configurations separate the two
-    changes:
+    and runs forward+backward over all M candidates of every block.  Two
+    configurations:
 
-    * ``pre_kernel_serial`` — serial evaluator with ``REPRO_DW_DIRECT=0``:
-      the pre-PR implementation;
-    * ``serial`` — serial evaluator with the direct depthwise kernel (the
-      always-on oracle as it now runs);
-    * ``batched`` — fused multi-candidate evaluator, direct kernel on.
+    * ``serial`` — the per-candidate loop (the always-on oracle);
+    * ``batched`` — the fused multi-candidate evaluator.
 
     Each configuration steps its own identically-seeded searcher; the
-    toggles wrap only the timed call, and the rounds interleave (see
+    toggle wraps only the timed call, and the rounds interleave (see
     :func:`_interleaved_min_cpu`).
     """
-    from repro.autograd.ops_nn import DW_DIRECT_ENV
-
     rounds = 2 if quick else 7
-    setups: dict[str, tuple[bool, bool]] = {
-        "pre_kernel_serial": (False, False),
-        "serial": (True, False),
-        "batched": (True, True),
-    }
+    setups = {"serial": False, "batched": True}
     searchers = {}
     for name in setups:
         searcher, splits = _make_paper_searcher()
@@ -1268,32 +1334,26 @@ def bench_search_arch_step(quick: bool = False) -> dict[str, Any]:
         searchers[name] = (searcher, xv, yv)
 
     def step(name: str):
-        dw_direct, batched = setups[name]
         searcher, xv, yv = searchers[name]
-        with _env_flag(DW_DIRECT_ENV, dw_direct), _batched_soft(batched):
+        with _batched_soft(setups[name]):
             searcher.arch_step(xv, yv)
 
     timed = _interleaved_min_cpu(
         {name: (lambda name=name: step(name)) for name in setups}, rounds
     )
     return {
-        "pre_kernel_serial_ms": timed["pre_kernel_serial"] * 1e3,
         "serial_ms": timed["serial"] * 1e3,
         "batched_ms": timed["batched"] * 1e3,
         "speedup": timed["serial"] / timed["batched"],
-        "kernel_speedup": timed["pre_kernel_serial"] / timed["serial"],
-        "total_speedup": timed["pre_kernel_serial"] / timed["batched"],
     }
 
 
 def bench_search_epoch(quick: bool = False) -> dict[str, Any]:
-    """Bilevel epoch CPU time (weight steps + arch steps) per configuration.
+    """Bilevel epoch CPU time (weight steps + arch steps), serial vs batched.
 
     Paper widths at truncated depth so a full epoch stays a CPU benchmark.
     Weight steps use hard samples and are unaffected by the batched soft
-    path — but they do run the direct depthwise kernel, so the
-    ``pre_kernel_serial`` configuration (full mode only) shows the whole-PR
-    effect while ``serial`` vs ``batched`` isolates the soft-path change.
+    path, so only the architecture half of the epoch is expected to move.
     """
     import dataclasses
 
@@ -1314,16 +1374,8 @@ def bench_search_epoch(quick: bool = False) -> dict[str, Any]:
         train_per_class=1 if quick else 2,
         val_per_class=1, test_per_class=1, seed=0,
     ))
-    from repro.autograd.ops_nn import DW_DIRECT_ENV
-
     batch = 8
-    setups: dict[str, tuple[bool, bool]] = {
-        "pre_kernel_serial": (False, False),
-        "serial": (True, False),
-        "batched": (True, True),
-    }
-    if quick:
-        del setups["pre_kernel_serial"]
+    setups = {"serial": False, "batched": True}
     searchers = {}
     for name in setups:
         config = EDDConfig(target="fpga_pipelined", epochs=2,
@@ -1335,10 +1387,9 @@ def bench_search_epoch(quick: bool = False) -> dict[str, Any]:
     steps: dict[str, int] = {}
 
     def epoch(name: str):
-        dw_direct, batched = setups[name]
         searcher = searchers[name]
         n_w = n_a = 0
-        with _env_flag(DW_DIRECT_ENV, dw_direct), _batched_soft(batched):
+        with _batched_soft(setups[name]):
             for lo in range(0, len(train.labels), batch):
                 searcher.weight_step(train.images[lo:lo + batch],
                                      train.labels[lo:lo + batch])
@@ -1354,17 +1405,13 @@ def bench_search_epoch(quick: bool = False) -> dict[str, Any]:
         {name: (lambda name=name: epoch(name)) for name in setups},
         rounds=1 if quick else 2, warmup=0 if quick else 1,
     )
-    result: dict[str, Any] = {
+    return {
         "blocks": space.num_blocks,
         **steps,
         "serial_seconds": timed["serial"],
         "batched_seconds": timed["batched"],
         "speedup": timed["serial"] / timed["batched"],
     }
-    if "pre_kernel_serial" in timed:
-        result["pre_kernel_serial_seconds"] = timed["pre_kernel_serial"]
-        result["total_speedup"] = timed["pre_kernel_serial"] / timed["batched"]
-    return result
 
 
 def bench_search_parity(quick: bool = False) -> dict[str, Any]:
@@ -1439,15 +1486,16 @@ def bench_search_parity(quick: bool = False) -> dict[str, Any]:
 #: sped the search up, what did not, and which candidates never batch.
 SEARCH_BENCH_NOTE = (
     "Per-op profiling at paper widths showed the soft step is "
-    "compute-bound, not dispatch-bound: the depthwise stage alone was "
-    "~80% of backward time under the im2col path. The direct depthwise "
-    "kernel added with this change (REPRO_DW_DIRECT=0 reverts it) "
-    "delivers the arch-step speedup in 'kernel_speedup' and accelerates "
-    "serial soft, batched soft and hard weight steps alike; "
-    "'speedup' (batched vs the serial oracle, both with the kernel) is "
-    "therefore near 1.0 at paper widths, where arithmetic — identical in "
-    "both evaluators — dominates and fusing M dispatches buys little. "
-    "Fallbacks that always run serial: skip candidates, eval-mode "
+    "compute-bound, not dispatch-bound, and dominated by depthwise convs: "
+    "before the channels-last kernel they were ~64% of search time, in an "
+    "NCHW einsum and the im2col grouped GEMM that each ran at tens of "
+    "M MAC/s. Every depthwise conv now runs one channels-last kernel "
+    "(ops_nn._depthwise_conv); 'kernel.kernel_speedup' is its op-level "
+    "fwd+bwd geomean against the im2col GEMM over this arch step's "
+    "depthwise shapes. 'speedup' (batched vs the serial oracle, both on "
+    "the kernel) stays near 1.0 at paper widths, where arithmetic, "
+    "identical in both evaluators, dominates and fusing M dispatches buys "
+    "little. Fallbacks that always run serial: skip candidates, eval-mode "
     "passes, and singleton kernel buckets (a space with one expansion "
     "ratio per kernel batches nothing)."
 )
@@ -1456,6 +1504,7 @@ SEARCH_BENCH_NOTE = (
 def run_search_benchmarks(quick: bool = False) -> dict[str, Any]:
     """Run the search suite; returns the ``BENCH_search.json`` payload."""
     blocks = bench_search_blocks(quick)
+    kernel = bench_search_kernel(quick)
     arch = bench_search_arch_step(quick)
     epoch = bench_search_epoch(quick)
     parity = bench_search_parity(quick)
@@ -1470,6 +1519,7 @@ def run_search_benchmarks(quick: bool = False) -> dict[str, Any]:
         },
         "note": SEARCH_BENCH_NOTE,
         "blocks": blocks,
+        "kernel": kernel,
         "arch_step": arch,
         "epoch": epoch,
         "parity": parity,
@@ -1493,27 +1543,31 @@ def render_search_report(report: dict[str, Any]) -> str:
         f"{'geomean':26s} {'':>10s} {'':>10s} "
         f"{report['blocks']['geomean_speedup']:7.2f}x"
     )
+    kernel = report["kernel"]
+    lines += [
+        "",
+        f"{'depthwise fwd+bwd':26s} {'im2col':>10s} {'kernel':>10s} {'speedup':>8s}",
+    ]
+    for case in kernel["cases"]:
+        lines.append(
+            f"{case['name']:26s} {case['im2col_ms']:8.2f}ms "
+            f"{case['kernel_ms']:8.2f}ms {case['speedup']:7.2f}x"
+        )
+    lines.append(
+        f"{'geomean (kernel_speedup)':26s} {'':>10s} {'':>10s} "
+        f"{kernel['kernel_speedup']:7.2f}x"
+    )
     arch = report["arch_step"]
     epoch = report["epoch"]
     parity = report["parity"]
     lines += [
         "",
-        f"soft arch step (paper widths) {arch['pre_kernel_serial_ms']:8.0f}ms "
-        f"pre-kernel -> {arch['serial_ms']:8.0f}ms serial -> "
-        f"{arch['batched_ms']:8.0f}ms batched",
-        f"  direct-dw-kernel speedup {arch['kernel_speedup']:.2f}x, "
-        f"batched vs serial oracle {arch['speedup']:.2f}x, "
-        f"total {arch['total_speedup']:.2f}x",
+        f"soft arch step (paper widths) {arch['serial_ms']:8.0f}ms serial -> "
+        f"{arch['batched_ms']:8.0f}ms batched ({arch['speedup']:.2f}x)",
         f"bilevel epoch ({epoch['blocks']} blocks, {epoch['weight_steps']}w+"
         f"{epoch['arch_steps']}a steps) {epoch['serial_seconds']:.2f}s -> "
         f"{epoch['batched_seconds']:.2f}s ({epoch['speedup']:.2f}x batched "
-        f"vs serial"
-        + (
-            f"; {epoch['total_speedup']:.2f}x vs pre-kernel"
-            if "total_speedup" in epoch
-            else ""
-        )
-        + "; weight steps are hard-sampled, kernel-affected only)",
+        f"vs serial; weight steps are hard-sampled and unaffected)",
         f"float64 parity: loss {parity['worst_loss_diff']:.2e}, grad "
         f"{parity['worst_grad_diff']:.2e}, buffers "
         f"{parity['worst_buffer_diff']:.2e} (tol {parity['tolerance']:.0e}) "

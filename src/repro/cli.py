@@ -21,7 +21,8 @@ Commands
              ``--suite serving`` writes ``BENCH_serving.json`` (traffic
              replay against the fleet: throughput and tail latency vs
              worker count); ``--suite search`` writes ``BENCH_search.json``
-             (batched soft-mode supernet evaluation vs the serial
+             (depthwise kernel vs the im2col GEMM per arch-step shape,
+             batched soft-mode supernet evaluation vs the serial
              per-candidate oracle, plus float64 parity).
 ``compile``  lower a model into a static execution plan and save it to disk
              (``.npz``) for cold-start-free deployment.
@@ -791,9 +792,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "pre-refactor baseline; runtime: Engine.run vs "
                               "BuiltNetwork.forward across the zoo; training: "
                               "buffer pool + phase-decomposed gradients vs "
-                              "the pre-PR training hot path; search: batched "
-                              "soft-mode supernet evaluation vs the serial "
-                              "oracle")
+                              "the pre-PR training hot path; search: "
+                              "depthwise kernel vs im2col, batched soft-mode "
+                              "supernet evaluation vs the serial oracle")
     p_bench.add_argument("--output", default=None,
                          help="where to write the JSON report (default "
                               "BENCH_<suite>.json)")

@@ -340,3 +340,85 @@ def test_sweep_reclaims_stranded_buffers():
         x.zero_grad()
         w.zero_grad()
         assert pool.outstanding == 0
+
+
+@pytest.mark.parametrize(
+    "shape,k,stride",
+    [
+        ((2, 16, 9, 8), 3, 1),
+        ((2, 16, 9, 8), 5, 2),
+        ((2, 16, 9, 8), 7, 1),
+        # For these the NHWC -> NCHW gradient transpose is already
+        # C-contiguous (H = W = 1, C = 1, a 1x1 kernel): the returned grads
+        # must still be copies, not views of buffers given back to the pool.
+        ((4, 160, 1, 1), 3, 1),
+        ((2, 512, 1, 1), 1, 1),
+        ((2, 1, 16, 20), 5, 2),
+        ((1, 512, 2, 2), 1, 1),
+    ],
+)
+def test_depthwise_kernel_pool_parity_and_release(shape, k, stride):
+    """The channels-last depthwise kernel is bit-identical with the pool on
+    and off — also when the recycled buffers hold garbage — and returns
+    every buffer it checks out once backward and zero_grad have run.
+
+    Two convs share the input and the weight, so the second backward checks
+    out whatever the first one released while the first one's gradients are
+    still waiting to be accumulated."""
+    rng = np.random.default_rng(13)
+    n, c, h, w_in = shape
+    x0 = rng.normal(size=shape).astype(np.float32)
+    w0 = rng.normal(size=(c, 1, k, k)).astype(np.float32)
+
+    def step(pool_on: bool):
+        x = tensor(x0, requires_grad=True)
+        w = tensor(w0, requires_grad=True)
+        with buffer_pool(pool_on) as pool:
+            before = pool.outstanding
+            first = ops_nn.conv2d(x, w, stride=stride, padding=k // 2, groups=c)
+            if pool_on:
+                assert pool.outstanding > before  # canvas, kernel, output
+            out = first + ops_nn.conv2d(
+                x, w * 0.5, stride=stride, padding=k // 2, groups=c
+            )
+            seed = np.random.default_rng(14).normal(size=out.shape)
+            out.backward(seed.astype(np.float32))
+            leaf_grads = sum(pool.owns(t.grad) for t in (x, w))
+            assert pool.outstanding == before + leaf_grads
+            result = (out.data.copy(), x.grad.copy(), w.grad.copy())
+            x.zero_grad()
+            w.zero_grad()
+            assert pool.outstanding == before
+        return result
+
+    expected = step(False)
+    for poison in (False, True):
+        if poison:
+            # Poison every free buffer: a kernel that relied on fresh zeros
+            # (the canvas border, the gradient canvas) would now diverge.
+            for stack in get_pool()._free.values():
+                for buf in stack:
+                    buf.fill(np.nan)
+        for got, want in zip(step(True), expected):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "shape,k", [((4, 160, 1, 1), 3), ((2, 512, 1, 1), 1), ((2, 1, 16, 20), 5)]
+)
+def test_depthwise_grads_never_alias_released_buffers(shape, k):
+    """Tensor.backward holds a node's gradients until the parent node runs,
+    so the kernel must not return views of scratch it already gave back to
+    the pool — also where the NHWC -> NCHW transpose is already contiguous
+    (H = W = 1, C = 1, a 1x1 kernel with a pooled weight grad)."""
+    rng = np.random.default_rng(15)
+    c = shape[1]
+    x = tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+    w = tensor(rng.normal(size=(c, 1, k, k)).astype(np.float32), requires_grad=True)
+    with buffer_pool(True) as pool:
+        out = ops_nn.conv2d(x, w, padding=k // 2, groups=c)
+        grads = out.backward_fn(np.ones_like(out.data))
+        free = [buf for stack in pool._free.values() for buf in stack]
+        assert free
+        for grad in grads:
+            assert not any(np.shares_memory(grad, buf) for buf in free)

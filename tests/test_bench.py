@@ -153,6 +153,26 @@ class TestRuntimeSuite:
         assert len(names) == 12
 
 
+def test_arch_step_dw_shapes_are_the_convs_an_arch_step_runs(monkeypatch):
+    """The search kernel table derives its shapes from the supernet: exactly
+    the candidate blocks' depthwise convs that a soft arch step runs (the
+    stem's fixed depthwise conv is the only other one)."""
+    searcher, splits = bench._make_searcher()
+    ran = set()
+    kernel = ops_nn._depthwise_conv
+
+    def spy(x, w, stride, padding):
+        ran.add((x.shape[1], x.shape[2], w.shape[2], stride))
+        return kernel(x, w, stride, padding)
+
+    monkeypatch.setattr(ops_nn, "_depthwise_conv", spy)
+    searcher.arch_step(splits.val.images[:4], splits.val.labels[:4])
+    derived = set(bench._arch_step_dw_shapes(searcher))
+    assert derived and derived <= ran
+    stem_channels = searcher.supernet.stem_dw.weight.shape[0]
+    assert {shape[0] for shape in ran - derived} == {stem_channels}
+
+
 class TestTrainingSuite:
     def test_tconv_grad_section(self):
         section = bench.bench_tconv_grad(quick=True)

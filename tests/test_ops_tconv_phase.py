@@ -92,7 +92,9 @@ def test_non_square_input():
 def test_gradcheck_through_phased_path(monkeypatch, stride, kernel, groups):
     """Float64 gradcheck of conv2d with the input grad forced through the
     phase decomposition (the dispatch threshold would otherwise route these
-    deliberately small shapes to the dilated path)."""
+    deliberately small shapes to the dilated path).  Depthwise layouts
+    (``groups == 4``) run the channels-last depthwise kernel instead, so
+    for them this gradchecks that kernel."""
     monkeypatch.setattr(
         ops_nn, "_conv_input_grad",
         lambda grad, w, shape, s, g: ops_nn._conv_input_grad_phased(

@@ -161,7 +161,7 @@ def collect_missing() -> list[str]:
         )),
         (ops_nn, (
             "stack_conv_weights", "residual_add_shared", "mix_candidates",
-            "project_candidates", "dw_direct_enabled",
+            "project_candidates", "_depthwise_conv",
         )),
         (quantization, ("mixed_quantize_stacked", "fake_quantize_sliced")),
         (batched, (
