@@ -24,8 +24,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.autograd.pool import get_pool
-from repro.autograd.tensor import Tensor, make_op, pool_for_op
+from repro.autograd.tensor import Tensor, make_op
 from repro.autograd.ops_shape import pad2d
 
 
@@ -81,22 +80,17 @@ def _window_view(x: np.ndarray, k_h: int, k_w: int, stride: int) -> np.ndarray:
 
 
 def _im2col(
-    x: np.ndarray, k_h: int, k_w: int, stride: int, groups: int,
-    out: np.ndarray | None = None,
+    x: np.ndarray, k_h: int, k_w: int, stride: int, groups: int
 ) -> tuple[np.ndarray, int, int]:
     """Column matrix (N, G, C_g*kH*kW, oH*oW) of ``x`` plus output dims.
 
     For 1x1 kernels at stride 1 (the MBConv expand/project hot path) the
-    reshape is a zero-copy view of a contiguous input.  ``out`` optionally
-    receives the materialised columns (shape ``(N, C, kH, kW, oH, oW)``,
-    typically a pooled scratch buffer) instead of a fresh allocation.
+    reshape is a zero-copy view of a contiguous input; otherwise it
+    materialises the columns.
     """
     n, c, _, _ = x.shape
     view = _window_view(x, k_h, k_w, stride)
     out_h, out_w = view.shape[4], view.shape[5]
-    if out is not None:
-        np.copyto(out, view)
-        view = out
     cols = view.reshape(n, groups, (c // groups) * k_h * k_w, out_h * out_w)
     return cols, out_h, out_w
 
@@ -138,50 +132,26 @@ def _conv_input_grad_dilated(
     n, c_in, h, w = x_shape
     c_out, c_in_g, k_h, k_w = w_data.shape
     out_h, out_w = grad.shape[2], grad.shape[3]
-    pool = get_pool()
 
     if k_h == 1 and k_w == 1 and stride == 1:
         padded = grad  # 1x1/s1: the dilate+pad stage is the identity
-        pad_scratch = None
     else:
         # One canvas fuses stride-dilation, full padding and the trailing
         # slack for input pixels the kernel never reached (zero gradient
         # there when (H - kH) % stride != 0): the dilated gradient lands at
         # positions (kH-1) + i*stride of an (H + kH - 1)-tall canvas.
-        zero_all = stride > 1  # dilation leaves zero gaps between rows
-        pad_scratch = pool.acquire(
-            (n, c_out, h + k_h - 1, w + k_w - 1), grad.dtype, zero=zero_all
-        )
-        if not zero_all:
-            # Stride 1: the interior is fully overwritten below, so only
-            # the full-padding border of a recycled buffer needs zeroing.
-            if k_h > 1:
-                pad_scratch[:, :, : k_h - 1, :] = 0.0
-                pad_scratch[:, :, k_h - 1 + out_h :, :] = 0.0
-            if k_w > 1:
-                rows = slice(k_h - 1, k_h - 1 + out_h)
-                pad_scratch[:, :, rows, : k_w - 1] = 0.0
-                pad_scratch[:, :, rows, k_w - 1 + out_w :] = 0.0
-        pad_scratch[
+        padded = np.zeros((n, c_out, h + k_h - 1, w + k_w - 1), dtype=grad.dtype)
+        padded[
             :,
             :,
             k_h - 1 : k_h - 1 + (out_h - 1) * stride + 1 : stride,
             k_w - 1 : k_w - 1 + (out_w - 1) * stride + 1 : stride,
         ] = grad
-        padded = pad_scratch
 
     _, w_t = _flipped_weight_t(w_data, groups)
-    col_scratch = None
-    if not (k_h == 1 and k_w == 1):
-        col_scratch = pool.acquire((n, c_out, k_h, k_w, h, w), grad.dtype)
-    cols, gh, gw = _im2col(padded, k_h, k_w, 1, groups, out=col_scratch)
+    cols, gh, gw = _im2col(padded, k_h, k_w, 1, groups)
     assert (gh, gw) == (h, w)
-    grad_x = np.matmul(w_t[None], cols).reshape(n, c_in, h, w)
-    if col_scratch is not None:
-        pool.release(col_scratch)
-    if pad_scratch is not None:
-        pool.release(pad_scratch)
-    return grad_x
+    return np.matmul(w_t[None], cols).reshape(n, c_in, h, w)
 
 
 def _conv_input_grad_phased(
@@ -212,7 +182,6 @@ def _conv_input_grad_phased(
     c_out, c_in_g, k_h, k_w = w_data.shape
     c_out_g = c_out // groups
     out_h, out_w = grad.shape[2], grad.shape[3]
-    pool = get_pool()
     grad_x = np.zeros((n, c_in, h, w), dtype=grad.dtype)
     # Only the flipped *view* is needed here — each phase builds its own
     # contiguous sub-kernel below, so the full transposed copy the dilated
@@ -237,9 +206,7 @@ def _conv_input_grad_phased(
                 continue
             canvas_h = t_h + ks_h - 1
             canvas_w = t_w + ks_w - 1
-            canvas = pool.acquire(
-                (n, c_out, canvas_h, canvas_w), grad.dtype, zero=True
-            )
+            canvas = np.zeros((n, c_out, canvas_h, canvas_w), dtype=grad.dtype)
             # Copy the grad window the sub-correlation can actually read
             # (canvas row v holds grad row v + delta); the rest of the
             # canvas stays zero padding.
@@ -252,21 +219,11 @@ def _conv_input_grad_phased(
             w_sub = np.ascontiguousarray(
                 flipped[:, :, :, d0_h::stride, d0_w::stride].transpose(0, 2, 1, 3, 4)
             ).reshape(groups, c_in_g, c_out_g * ks_h * ks_w)
-            col_scratch = (
-                None
-                if ks_h == 1 and ks_w == 1
-                else pool.acquire(
-                    (n, c_out, ks_h, ks_w, t_h, t_w), grad.dtype
-                )
-            )
-            cols, gh, gw = _im2col(canvas, ks_h, ks_w, 1, groups, out=col_scratch)
+            cols, gh, gw = _im2col(canvas, ks_h, ks_w, 1, groups)
             assert (gh, gw) == (t_h, t_w)
             grad_x[:, :, ph::stride, pw::stride] = np.matmul(
                 w_sub[None], cols
             ).reshape(n, c_in, t_h, t_w)
-            if col_scratch is not None:
-                pool.release(col_scratch)
-            pool.release(canvas)
     return grad_x
 
 
@@ -316,102 +273,54 @@ def _im2col_conv(xp: Tensor, weight: Tensor, stride: int, groups: int,
     c_out, c_in_g, k_h, k_w = w_data.shape
     c_out_g = c_out // groups
     col_len = c_in_g * k_h * k_w
-    w_mat = w_data.reshape(groups, c_out_g, col_len)
+    out_h = _conv_output_size(x_data.shape[2], k_h, stride)
+    out_w = _conv_output_size(x_data.shape[3], k_w, stride)
 
     # A 1x1/s1 column matrix is a zero-copy view; otherwise im2col blows the
     # input up kH*kW-fold, so big batches are blocked along N (vectorization
     # over kernel offsets and groups is untouched) and the backward
     # recomputes its column chunks instead of retaining them in the graph.
     view_only = k_h == 1 and k_w == 1 and stride == 1
-    per_sample_bytes = (
-        x_data.shape[1] * k_h * k_w
-        * _conv_output_size(x_data.shape[2], k_h, stride)
-        * _conv_output_size(x_data.shape[3], k_w, stride)
-        * x_data.itemsize
-    )
+    per_sample_bytes = x_data.shape[1] * k_h * k_w * out_h * out_w * x_data.itemsize
     # The closure contract allows returning None per parent: skip the input
     # gradient entirely when the input is graph-external (e.g. the stem conv
     # consuming the data batch) — that's the priciest half of the backward.
     need_input_grad = xp.requires_grad or xp.backward_fn is not None
 
-    pool = pool_for_op(xp, weight)
     if view_only or n * per_sample_bytes <= _COL_CHUNK_BYTES:
-        if pool is not None:
-            # Pooled hot path: route the forward through the out-buffer
-            # inference kernel (conv2d_into) so the output and the
-            # materialised columns are checked out of the BufferPool;
-            # backward retires them via the tape.
-            out_h = _conv_output_size(x_data.shape[2], k_h, stride)
-            out_w = _conv_output_size(x_data.shape[3], k_w, stride)
-            out = pool.acquire((n, c_out, out_h, out_w), x_data.dtype)
-            retire: tuple[np.ndarray, ...] = ()
-            if view_only:
-                cols = x_data.reshape(n, groups, col_len, out_h * out_w)
-                conv2d_into(
-                    x_data, w_data, stride=stride, groups=groups, out=out
-                )
-            else:
-                col6 = pool.acquire(
-                    (n, x_data.shape[1], k_h, k_w, out_h, out_w), x_data.dtype
-                )
-                conv2d_into(
-                    x_data, w_data, stride=stride, groups=groups, out=out,
-                    cols=col6,
-                )
-                cols = col6.reshape(n, groups, col_len, out_h * out_w)
-                retire = (col6,)
-        else:
-            cols, out_h, out_w = _im2col(x_data, k_h, k_w, stride, groups)
-            out = np.matmul(w_mat[None], cols).reshape(n, c_out, out_h, out_w)
-            retire = ()
+        # The forward is the inference kernel (conv2d_into); the columns it
+        # materialises are kept for the weight gradient.
+        col6 = None if view_only else np.empty(
+            (n, x_data.shape[1], k_h, k_w, out_h, out_w), dtype=x_data.dtype
+        )
+        out = conv2d_into(x_data, w_data, stride=stride, groups=groups, cols=col6)
+        cols = (x_data if view_only else col6).reshape(
+            n, groups, col_len, out_h * out_w
+        )
 
         def backward(grad: np.ndarray):
             g = grad.reshape(n, groups, c_out_g, out_h * out_w)
             # dW: per-sample batched GEMM against the transposed-view columns
-            # (BLAS consumes the transpose directly), reduced over the batch,
-            # with the per-sample product in call-scoped pooled scratch.
-            bpool = get_pool()
-            gw_scratch = bpool.acquire((n, groups, c_out_g, col_len), grad.dtype)
-            np.matmul(g, cols.transpose(0, 1, 3, 2), out=gw_scratch)
-            grad_w = gw_scratch.sum(axis=0).reshape(w_data.shape)
-            bpool.release(gw_scratch)
+            # (BLAS consumes the transpose directly), reduced over the batch.
+            grad_w = np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0)
             grad_x = (
                 _conv_input_grad(grad, w_data, x_data.shape, stride, groups)
                 if need_input_grad
                 else None
             )
-            return grad_x, grad_w
+            return grad_x, grad_w.reshape(w_data.shape)
 
-        return make_op(
-            out, (xp, weight), backward, op_name,
-            retire=retire, pooled_out=pool is not None and pool.owns(out),
-        )
+        return make_op(out, (xp, weight), backward, op_name)
 
     step = max(1, int(_COL_CHUNK_BYTES // per_sample_bytes))
-    out_h = _conv_output_size(x_data.shape[2], k_h, stride)
-    out_w = _conv_output_size(x_data.shape[3], k_w, stride)
-    out = (
-        pool.acquire((n, c_out, out_h, out_w), x_data.dtype)
-        if pool is not None
-        else np.empty((n, c_out, out_h, out_w), dtype=x_data.dtype)
-    )
+    out = np.empty((n, c_out, out_h, out_w), dtype=x_data.dtype)
     for start in range(0, n, step):
-        chunk = x_data[start : start + step]
-        col6 = get_pool().acquire(
-            (chunk.shape[0], chunk.shape[1], k_h, k_w, out_h, out_w),
-            x_data.dtype,
+        conv2d_into(
+            x_data[start : start + step], w_data, stride=stride, groups=groups,
+            out=out[start : start + step],
         )
-        cols, _, _ = _im2col(chunk, k_h, k_w, stride, groups, out=col6)
-        np.matmul(
-            w_mat[None], cols,
-            out=out[start : start + step].reshape(
-                chunk.shape[0], groups, c_out_g, out_h * out_w
-            ),
-        )
-        get_pool().release(col6)
 
     def backward_chunked(grad: np.ndarray):
-        bpool = get_pool()
         grad_w = np.zeros((groups, c_out_g, col_len), dtype=w_data.dtype)
         grad_x = (
             np.empty(x_data.shape, dtype=x_data.dtype) if need_input_grad else None
@@ -419,27 +328,16 @@ def _im2col_conv(xp: Tensor, weight: Tensor, stride: int, groups: int,
         for start in range(0, n, step):
             sl = slice(start, start + step)
             chunk = x_data[sl]
-            m = chunk.shape[0]
-            col6 = bpool.acquire(
-                (m, chunk.shape[1], k_h, k_w, out_h, out_w), x_data.dtype
-            )
-            cols, _, _ = _im2col(chunk, k_h, k_w, stride, groups, out=col6)
-            g = grad[sl].reshape(m, groups, c_out_g, out_h * out_w)
-            gw_scratch = bpool.acquire((m, groups, c_out_g, col_len), grad.dtype)
-            np.matmul(g, cols.transpose(0, 1, 3, 2), out=gw_scratch)
-            grad_w += gw_scratch.sum(axis=0)
-            bpool.release(gw_scratch)
-            bpool.release(col6)
+            cols, _, _ = _im2col(chunk, k_h, k_w, stride, groups)
+            g = grad[sl].reshape(chunk.shape[0], groups, c_out_g, out_h * out_w)
+            grad_w += np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0)
             if grad_x is not None:
                 grad_x[sl] = _conv_input_grad(
                     grad[sl], w_data, chunk.shape, stride, groups
                 )
         return grad_x, grad_w.reshape(w_data.shape)
 
-    return make_op(
-        out, (xp, weight), backward_chunked, op_name,
-        pooled_out=pool is not None and pool.owns(out),
-    )
+    return make_op(out, (xp, weight), backward_chunked, op_name)
 
 
 def _channels_last_windows(
@@ -492,10 +390,7 @@ def _depthwise_conv(x: Tensor, weight: Tensor, stride: int, padding: int) -> Ten
       convolution; the padding border is never computed).
 
     Each side converts NCHW <-> NHWC once.  The backward keeps only the
-    padded canvas and the (kH, kW, C) kernel, never a column matrix.
-    Canvas, kernel and output come from the :class:`BufferPool` when the
-    node joins the tape (retired by ``backward``); the accumulator and
-    backward scratch are call-scoped checkouts.  As in
+    padded canvas and the (kH, kW, C) kernel, never a column matrix.  As in
     :func:`_im2col_conv`, the input gradient is skipped for graph-external
     inputs.
     """
@@ -507,47 +402,24 @@ def _depthwise_conv(x: Tensor, weight: Tensor, stride: int, padding: int) -> Ten
     out_h = _conv_output_size(h_p, k_h, stride)
     out_w = _conv_output_size(w_p, k_w, stride)
 
-    pool = pool_for_op(x, weight)
-
-    def acquire(shape: tuple[int, ...]) -> np.ndarray:
-        return pool.acquire(shape, dtype) if pool is not None else np.empty(shape, dtype)
-
-    canvas = acquire((n, h_p, w_p, c))
-    if padding:
-        # Recycled buffers carry stale data: zero only the border strips,
-        # the interior is overwritten by the layout copy below.
-        canvas[:, :padding] = 0.0
-        canvas[:, padding + h :] = 0.0
-        canvas[:, padding : padding + h, :padding] = 0.0
-        canvas[:, padding : padding + h, padding + w :] = 0.0
+    canvas = np.zeros((n, h_p, w_p, c), dtype=dtype)
     canvas[:, padding : padding + h, padding : padding + w] = x_data.transpose(
         0, 2, 3, 1
     )
-    w_taps = acquire((k_h, k_w, c))
-    w_taps[...] = w_data.reshape(c, k_h, k_w).transpose(1, 2, 0)
+    w_taps = np.ascontiguousarray(w_data.reshape(c, k_h, k_w).transpose(1, 2, 0))
     taps = _channels_last_windows(canvas, k_h, k_w, stride, out_h, out_w)
 
-    acc = get_pool().acquire((n, out_h, out_w, c), dtype)
+    acc = np.empty((n, out_h, out_w, c), dtype=dtype)
     np.einsum("nhwijc,ijc->nhwc", taps, w_taps, out=acc)
-    out = acquire((n, c, out_h, out_w))
-    out[...] = acc.transpose(0, 3, 1, 2)
-    get_pool().release(acc)
+    out = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
     need_input_grad = x.requires_grad or x.backward_fn is not None
 
     def backward(grad: np.ndarray):
-        bpool = get_pool()
-        g = bpool.acquire((n, out_h, out_w, c), grad.dtype)
-        g[...] = grad.transpose(0, 2, 3, 1)
-        grad_w_taps = bpool.acquire((k_h, k_w, c), grad.dtype)
+        g = np.ascontiguousarray(grad.transpose(0, 2, 3, 1))
+        grad_w_taps = np.empty((k_h, k_w, c), dtype=grad.dtype)
         np.einsum("nhwijc,nhwc->ijc", taps, g, out=grad_w_taps)
-        # Returned grads outlive this call while their scratch goes back to
-        # the pool, so they are always copies: ascontiguousarray would hand
-        # out a view wherever the transpose is already contiguous (C = 1,
-        # H = W = 1, a 1x1 kernel).
-        grad_w = grad_w_taps.transpose(2, 0, 1).copy().reshape(w_data.shape)
-        bpool.release(grad_w_taps)
+        grad_w = grad_w_taps.transpose(2, 0, 1).reshape(w_data.shape)
         if not need_input_grad:
-            bpool.release(g)
             return None, grad_w
         # Transposed convolution: output-gradient row t feeds interior rows
         # t*stride - padding + i (tap i).  Placed at row
@@ -558,26 +430,18 @@ def _depthwise_conv(x: Tensor, weight: Tensor, stride: int, padding: int) -> Ten
         g_h, g_w = h + k_h - 1, w + k_w - 1
         src_h, dst_h = _dilated_slices(k_h - 1 - padding, stride, out_h, g_h)
         src_w, dst_w = _dilated_slices(k_w - 1 - padding, stride, out_w, g_w)
-        g_canvas = bpool.acquire((n, g_h, g_w, c), grad.dtype, zero=True)
+        g_canvas = np.zeros((n, g_h, g_w, c), dtype=grad.dtype)
         g_canvas[:, dst_h, dst_w] = g[:, src_h, src_w]
-        bpool.release(g)
-        gx = bpool.acquire((n, h, w, c), grad.dtype)
+        gx = np.empty((n, h, w, c), dtype=grad.dtype)
         np.einsum(
             "nhwijc,ijc->nhwc",
             _channels_last_windows(g_canvas, k_h, k_w, 1, h, w),
             w_taps[::-1, ::-1],
             out=gx,
         )
-        bpool.release(g_canvas)
-        grad_x = gx.transpose(0, 3, 1, 2).copy()
-        bpool.release(gx)
-        return grad_x, grad_w
+        return np.ascontiguousarray(gx.transpose(0, 3, 1, 2)), grad_w
 
-    return make_op(
-        out, (x, weight), backward, "dwconv2d",
-        retire=(canvas, w_taps),
-        pooled_out=pool is not None and pool.owns(out),
-    )
+    return make_op(out, (x, weight), backward, "dwconv2d")
 
 
 def conv2d(
@@ -884,20 +748,8 @@ def batch_norm2d(
     mean = x_data.mean(axis=(0, 2, 3))
     var = x_data.var(axis=(0, 2, 3))
     inv_std = 1.0 / np.sqrt(var + eps)
-    pool = pool_for_op(x, gamma, beta)
-    if pool is not None:
-        # Pooled path: the normalised temporary (kept for the backward) and
-        # the output both come from the BufferPool; same arithmetic order as
-        # the allocating expressions below, so results are bit-identical.
-        xhat = pool.acquire(x_data.shape, x_data.dtype)
-        np.subtract(x_data, mean[None, :, None, None], out=xhat)
-        xhat *= inv_std[None, :, None, None]
-        out = pool.acquire(x_data.shape, x_data.dtype)
-        np.multiply(gamma.data[None, :, None, None], xhat, out=out)
-        out += beta.data[None, :, None, None]
-    else:
-        xhat = (x_data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat = (x_data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
     def backward(grad: np.ndarray):
         m = grad.shape[0] * grad.shape[2] * grad.shape[3]
@@ -911,47 +763,26 @@ def batch_norm2d(
         )
         return grad_x, grad_gamma, grad_beta
 
-    node = make_op(
-        out, (x, gamma, beta), backward, "batch_norm2d",
-        retire=(xhat,) if pool is not None and pool.owns(xhat) else (),
-        pooled_out=pool is not None and pool.owns(out),
-    )
-    return node, mean, var
+    return make_op(out, (x, gamma, beta), backward, "batch_norm2d"), mean, var
 
 
 def relu(x: Tensor) -> Tensor:
-    pool = pool_for_op(x)
-    if pool is not None:
-        out = pool.acquire(x.shape, x.data.dtype)
-        np.maximum(x.data, 0.0, out=out)
-    else:
-        out = np.maximum(x.data, 0.0)
+    out = np.maximum(x.data, 0.0)
 
     def backward(grad: np.ndarray):
         return (grad * (x.data > 0),)
 
-    return make_op(
-        out, (x,), backward, "relu",
-        pooled_out=pool is not None and pool.owns(out),
-    )
+    return make_op(out, (x,), backward, "relu")
 
 
 def relu6(x: Tensor) -> Tensor:
     """The MobileNet activation: ``min(max(x, 0), 6)``."""
-    pool = pool_for_op(x)
-    if pool is not None:
-        out = pool.acquire(x.shape, x.data.dtype)
-        np.clip(x.data, 0.0, 6.0, out=out)
-    else:
-        out = np.clip(x.data, 0.0, 6.0)
+    out = np.clip(x.data, 0.0, 6.0)
 
     def backward(grad: np.ndarray):
         return (grad * ((x.data > 0) & (x.data < 6)),)
 
-    return make_op(
-        out, (x,), backward, "relu6",
-        pooled_out=pool is not None and pool.owns(out),
-    )
+    return make_op(out, (x,), backward, "relu6")
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -1224,11 +1055,7 @@ def residual_add_shared(stacked: Tensor, shortcut: Tensor, copies: int) -> Tenso
         raise ValueError(
             f"shortcut shape {shortcut.shape} does not match slices of {stacked.shape}"
         )
-    pool = pool_for_op(stacked, shortcut)
-    if pool is not None:
-        out = pool.acquire(stacked.shape, stacked.data.dtype)
-    else:
-        out = np.empty(stacked.shape, dtype=stacked.data.dtype)
+    out = np.empty(stacked.shape, dtype=stacked.data.dtype)
     np.add(
         stacked.data.reshape(n, copies, c, h, w),
         shortcut.data[:, None],
@@ -1238,10 +1065,7 @@ def residual_add_shared(stacked: Tensor, shortcut: Tensor, copies: int) -> Tenso
     def backward(grad: np.ndarray):
         return grad, grad.reshape(n, copies, c, h, w).sum(axis=1)
 
-    return make_op(
-        out, (stacked, shortcut), backward, "residual_add_shared",
-        pooled_out=pool is not None and pool.owns(out),
-    )
+    return make_op(out, (stacked, shortcut), backward, "residual_add_shared")
 
 
 def project_candidates(
@@ -1276,11 +1100,7 @@ def project_candidates(
     offsets = np.cumsum([0] + list(sections))
     l = h * w
     x_data = x.data
-    pool = pool_for_op(x, *weights)
-    if pool is not None:
-        out = pool.acquire((n, copies * c_out, h, w), x_data.dtype)
-    else:
-        out = np.empty((n, copies * c_out, h, w), dtype=x_data.dtype)
+    out = np.empty((n, copies * c_out, h, w), dtype=x_data.dtype)
     for m, wt in enumerate(weights):
         xm = x_data[:, offsets[m] : offsets[m + 1]].reshape(n, sections[m], l)
         np.matmul(
@@ -1291,7 +1111,6 @@ def project_candidates(
     need_input_grad = x.requires_grad or x.backward_fn is not None
 
     def backward(grad: np.ndarray):
-        bpool = get_pool()
         grad_x = (
             np.empty(x_data.shape, dtype=x_data.dtype) if need_input_grad else None
         )
@@ -1301,10 +1120,9 @@ def project_candidates(
             w2d = wt.data.reshape(c_out, h_m)
             xm = x_data[:, offsets[m] : offsets[m + 1]].reshape(n, h_m, l)
             gm = grad[:, m * c_out : (m + 1) * c_out].reshape(n, c_out, l)
-            gw_scratch = bpool.acquire((n, c_out, h_m), grad.dtype)
-            np.matmul(gm, xm.transpose(0, 2, 1), out=gw_scratch)
-            grads_w.append(gw_scratch.sum(axis=0).reshape(wt.shape))
-            bpool.release(gw_scratch)
+            grads_w.append(
+                np.matmul(gm, xm.transpose(0, 2, 1)).sum(axis=0).reshape(wt.shape)
+            )
             if grad_x is not None:
                 np.matmul(
                     w2d.T[None],
@@ -1313,10 +1131,7 @@ def project_candidates(
                 )
         return (grad_x,) + tuple(grads_w)
 
-    return make_op(
-        out, (x,) + tuple(weights), backward, "project_candidates",
-        pooled_out=pool is not None and pool.owns(out),
-    )
+    return make_op(out, (x,) + tuple(weights), backward, "project_candidates")
 
 
 def mix_candidates(stacked: Tensor, weights: Tensor, copies: int) -> Tensor:
@@ -1338,12 +1153,7 @@ def mix_candidates(stacked: Tensor, weights: Tensor, copies: int) -> Tensor:
         )
     c = c_total // copies
     stacked5 = stacked.data.reshape(n, copies, c, h, w)
-    pool = pool_for_op(stacked, weights)
-    if pool is not None:
-        out = pool.acquire((n, c, h, w), stacked.data.dtype)
-        np.einsum("m,nmchw->nchw", weights.data, stacked5, out=out)
-    else:
-        out = np.einsum("m,nmchw->nchw", weights.data, stacked5)
+    out = np.einsum("m,nmchw->nchw", weights.data, stacked5)
 
     def backward(grad: np.ndarray):
         grad_stacked = (
@@ -1352,7 +1162,4 @@ def mix_candidates(stacked: Tensor, weights: Tensor, copies: int) -> Tensor:
         grad_w = np.einsum("nmchw,nchw->m", stacked5, grad)
         return grad_stacked, grad_w
 
-    return make_op(
-        out, (stacked, weights), backward, "mix_candidates",
-        pooled_out=pool is not None and pool.owns(out),
-    )
+    return make_op(out, (stacked, weights), backward, "mix_candidates")

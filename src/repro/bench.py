@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import gc
 import json
 import os
 import platform
 import time
-import tracemalloc
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -37,7 +35,6 @@ import numpy as np
 
 from repro.autograd import ops_nn
 from repro.autograd.ops_basic import clip_ste, round_ste
-from repro.autograd.pool import buffer_pool, get_pool
 from repro.autograd.tensor import Tensor, default_dtype, get_default_dtype, tensor
 
 # (batch, c_in, h, w, c_out, kernel, stride, padding, groups) — the conv
@@ -405,12 +402,10 @@ def render_runtime_report(report: dict[str, Any]) -> str:
 
 # ---------------------------------------------------- training bench suite
 #
-# ``repro bench --suite training`` -> BENCH_training.json.  The *pre-PR
-# baseline* for every section is the hot path exactly as PR 2/3 left it:
-# buffer pool disabled and stride>1 transposed-conv input gradients through
-# the dilate-then-correlate oracle.  The *current* path enables the pool and
-# the phase-decomposed gradients, i.e. the two training-side optimisations
-# this suite exists to track.
+# ``repro bench --suite training`` -> BENCH_training.json.  The conv sections
+# compare the current hot path against stride>1 transposed-conv input
+# gradients through the dilate-then-correlate oracle; the step and search
+# sections record the supernet step and end-to-end search wall clock.
 
 #: (batch, c_in, h/w, c_out, kernel, stride, padding, groups, small) — the
 #: supernet's training conv population: search scale ("r_"), paper MBConv
@@ -458,13 +453,12 @@ def _dilated_input_grads() -> Iterator[None]:
 
 
 def bench_training_conv(quick: bool = False) -> dict[str, Any]:
-    """Conv fwd+bwd per training case: pooled+phased vs the pre-PR baseline.
+    """Conv fwd+bwd per training case: phased vs dilated input gradients.
 
     Each case runs a leaf-to-scalar step (persistent parameter-style leaves,
-    ``zero_grad`` per iteration, scalar root) so the measurement matches the
-    training loop's buffer lifecycle.  The headline is the geometric-mean
-    speedup over the small-shape (``small=True``) set ROADMAP calls
-    allocation-bound, with the full-set geomean reported alongside.
+    ``zero_grad`` per iteration, scalar root) as in the training loop.  The
+    headline is the geometric-mean speedup over the small-shape
+    (``small=True``) set, with the full-set geomean reported alongside.
     """
     repeats = 6 if quick else 15
     rng = np.random.default_rng(2026)
@@ -484,20 +478,18 @@ def bench_training_conv(quick: bool = False) -> dict[str, Any]:
         reps = max(3, repeats // 2) if n >= 32 else repeats
         # Interleave baseline/current samples so allocator drift and box
         # noise hit both sides equally.
-        with _dilated_input_grads(), buffer_pool(False):
+        with _dilated_input_grads():
             fwd_bwd()
-        with buffer_pool(True):
-            fwd_bwd()
+        fwd_bwd()
         base_samples, cur_samples = [], []
         for _ in range(reps):
-            with _dilated_input_grads(), buffer_pool(False):
+            with _dilated_input_grads():
                 start = time.perf_counter()
                 fwd_bwd()
                 base_samples.append(time.perf_counter() - start)
-            with buffer_pool(True):
-                start = time.perf_counter()
-                fwd_bwd()
-                cur_samples.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            fwd_bwd()
+            cur_samples.append(time.perf_counter() - start)
         baseline = float(np.median(base_samples))
         current = float(np.median(cur_samples))
         xt.zero_grad()
@@ -566,138 +558,23 @@ def bench_tconv_grad(quick: bool = False) -> dict[str, Any]:
     }
 
 
-def _large_repro_blocks(snapshot: "tracemalloc.Snapshot", min_bytes: int) -> int:
-    """Count live traced blocks >= ``min_bytes`` allocated in repro code."""
-    count = 0
-    for trace in snapshot.traces:
-        if trace.size < min_bytes:
-            continue
-        frame = trace.traceback[0]
-        if "repro" in frame.filename:
-            count += 1
-    return count
-
-
-def _step_allocation_profile(searcher, x, y, pool_on: bool) -> dict[str, float]:
-    """Measure one weight step's heap behaviour under ``tracemalloc``.
-
-    Reported per step:
-
-    * ``forward_alloc_blocks`` — buffer-sized (>= 2 KiB) blocks allocated in
-      repro code during the forward that are still live when the graph is
-      complete; with the pool warm these come from free lists instead, so
-      the count is the direct measure of the "allocation-free" claim;
-    * ``peak_bytes`` — peak incremental traced memory over the full
-      forward+backward+update step.
-    """
-    from repro.nn.functional import cross_entropy
-
-    min_bytes = 2048
-    with buffer_pool(pool_on):
-        # Warm the pool and the allocator alike: every step Gumbel-samples a
-        # different candidate, so several steps are needed before the free
-        # lists cover the whole shape population.
-        for _ in range(6):
-            searcher.weight_step(x, y)
-        searcher.weight_optimizer.zero_grad()
-        searcher.arch_optimizer.zero_grad()
-        gc.collect()
-        tracemalloc.start(1)
-        try:
-            base = tracemalloc.take_snapshot()
-            sample = searcher.supernet.sample(
-                searcher.sampler, hard=searcher.config.hard_weight_step
-            )
-            logits = searcher.supernet(Tensor(x), sample=sample)
-            loss = cross_entropy(logits, y)
-            snap = tracemalloc.take_snapshot()
-            tracemalloc.reset_peak()
-            before_current, _ = tracemalloc.get_traced_memory()
-            loss.backward()
-            searcher.weight_optimizer.step()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        forward_blocks = (
-            _large_repro_blocks(snap, min_bytes)
-            - _large_repro_blocks(base, min_bytes)
-        )
-        searcher.weight_optimizer.zero_grad()
-        searcher.arch_optimizer.zero_grad()
-    return {
-        "forward_alloc_blocks": int(forward_blocks),
-        "peak_bytes": int(max(0, peak - before_current)),
-    }
-
-
 def bench_training_step(quick: bool = False) -> dict[str, Any]:
-    """Supernet weight/arch step wall clock and allocation counts, pool
-    on vs off (pool on/off samples interleaved round-robin on one searcher
-    so box noise cancels; ``loss_parity`` is checked on two fresh searchers
-    driven through identical step sequences)."""
+    """Median wall clock of one supernet weight step and one arch step."""
     repeats = 6 if quick else 16
-
     searcher, splits = _make_searcher()
     x, y = splits.train.images[:12], splits.train.labels[:12]
     xv, yv = splits.val.images[:12], splits.val.labels[:12]
-    for pool_on in (False, True):  # warm both modes
-        with buffer_pool(pool_on):
-            searcher.weight_step(x, y)
-            searcher.arch_step(xv, yv)
-    samples: dict[tuple[str, bool], list[float]] = {
-        (phase, mode): [] for phase in ("weight", "arch") for mode in (False, True)
-    }
-    for _ in range(repeats):
-        for pool_on in (False, True):
-            with buffer_pool(pool_on):
-                start = time.perf_counter()
-                searcher.weight_step(x, y)
-                samples[("weight", pool_on)].append(time.perf_counter() - start)
-                start = time.perf_counter()
-                searcher.arch_step(xv, yv)
-                samples[("arch", pool_on)].append(time.perf_counter() - start)
-    weight_off = float(np.median(samples[("weight", False)]))
-    weight_on = float(np.median(samples[("weight", True)]))
-    arch_off = float(np.median(samples[("arch", False)]))
-    arch_on = float(np.median(samples[("arch", True)]))
-
-    def parity_losses(pool_on: bool) -> list[float]:
-        fresh, fresh_splits = _make_searcher()
-        px, py = fresh_splits.train.images[:12], fresh_splits.train.labels[:12]
-        with buffer_pool(pool_on):
-            return [fresh.weight_step(px, py) for _ in range(3)]
-
-    losses_off = parity_losses(False)
-    losses_on = parity_losses(True)
-    allocs_off = _step_allocation_profile(searcher, x, y, False)
-    allocs_on = _step_allocation_profile(searcher, x, y, True)
-    pool_stats = get_pool().stats()
-    blocks_on = max(1, allocs_on["forward_alloc_blocks"])
     return {
-        "weight_step_ms": weight_on * 1e3,
-        "arch_step_ms": arch_on * 1e3,
-        "baseline_weight_step_ms": weight_off * 1e3,
-        "baseline_arch_step_ms": arch_off * 1e3,
-        "weight_step_speedup": weight_off / weight_on,
-        "arch_step_speedup": arch_off / arch_on,
-        "loss_parity": losses_off == losses_on,
-        "allocations": {
-            "pool_off": allocs_off,
-            "pool_on": allocs_on,
-            "forward_alloc_reduction": (
-                allocs_off["forward_alloc_blocks"] / blocks_on
-            ),
-        },
-        "pool": pool_stats,
+        "weight_step_ms": _median_seconds(lambda: searcher.weight_step(x, y), repeats) * 1e3,
+        "arch_step_ms": _median_seconds(lambda: searcher.arch_step(xv, yv), repeats) * 1e3,
     }
 
 
 def bench_training_search(quick: bool = False) -> dict[str, Any]:
-    """End-to-end ``api.search`` epoch, pool on vs off (env kill-switch).
+    """End-to-end ``api.search`` epoch wall clock.
 
-    Both runs share the request and seed, so the epoch histories must be
-    bit-identical (``loss_parity``); the timing difference is purely the
-    buffer pool's doing.
+    The same request runs twice; the two epoch histories must be
+    bit-identical (``loss_parity``: same seed, same losses).
     """
     from repro import api
 
@@ -711,7 +588,7 @@ def bench_training_search(quick: bool = False) -> dict[str, Any]:
         name="bench-training",
     )
 
-    def run() -> tuple[float, list[float]]:
+    def run() -> tuple[float, list[tuple[float, ...]]]:
         start = time.perf_counter()
         report = api.search(request)
         wall = time.perf_counter() - start
@@ -720,30 +597,9 @@ def bench_training_search(quick: bool = False) -> dict[str, Any]:
             for r in report.result.history
         ]
 
-    @contextlib.contextmanager
-    def pool_killed():
-        saved = os.environ.get("REPRO_BUFFER_POOL")
-        os.environ["REPRO_BUFFER_POOL"] = "0"
-        try:
-            yield
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_BUFFER_POOL", None)
-            else:
-                os.environ["REPRO_BUFFER_POOL"] = saved
-
-    rounds = 2  # alternate off/on twice even in quick mode: a single
-    # sample per mode is one noise spike away from a false regression.
-    walls_off, walls_on = [], []
-    history_off = history_on = None
-    for _ in range(rounds):  # alternate modes so drift cancels
-        with pool_killed():
-            wall, history_off = run()
-        walls_off.append(wall)
-        wall, history_on = run()
-        walls_on.append(wall)
-    wall_off = float(np.median(walls_off))
-    wall_on = float(np.median(walls_on))
+    wall_a, history_a = run()
+    wall_b, history_b = run()
+    wall = min(wall_a, wall_b)
 
     def _same(a, b):
         return all(
@@ -754,13 +610,10 @@ def bench_training_search(quick: bool = False) -> dict[str, Any]:
     return {
         "epochs": request.epochs,
         "blocks": request.blocks,
-        "wall_seconds": wall_on,
-        "baseline_wall_seconds": wall_off,
-        "epoch_seconds": wall_on / request.epochs,
-        "baseline_epoch_seconds": wall_off / request.epochs,
-        "speedup": wall_off / wall_on,
-        "loss_parity": len(history_off) == len(history_on)
-        and _same(history_off, history_on),
+        "wall_seconds": wall,
+        "epoch_seconds": wall / request.epochs,
+        "loss_parity": len(history_a) == len(history_b)
+        and _same(history_a, history_b),
     }
 
 
@@ -788,7 +641,7 @@ def render_training_report(report: dict[str, Any]) -> str:
         f"training bench (dtype={report['meta']['dtype_policy']}, "
         f"numpy {report['meta']['numpy']}, quick={report['meta']['quick']})",
         "",
-        f"{'conv case':20s} {'current':>10s} {'pre-PR':>10s} {'speedup':>8s}",
+        f"{'conv case':20s} {'current':>10s} {'dilated':>10s} {'speedup':>8s}",
     ]
     for case in report["conv"]["cases"]:
         lines.append(
@@ -810,30 +663,15 @@ def render_training_report(report: dict[str, Any]) -> str:
             f"{case['dilated_ms']:8.2f}ms {case['speedup']:7.2f}x"
         )
     step = report["step"]
-    allocs = step["allocations"]
+    search = report["search"]
     lines += [
         "",
-        f"weight step {step['weight_step_ms']:7.1f}ms "
-        f"(pool off {step['baseline_weight_step_ms']:.1f}ms, "
-        f"{step['weight_step_speedup']:.2f}x)  loss parity: {step['loss_parity']}",
-        f"arch step   {step['arch_step_ms']:7.1f}ms "
-        f"(pool off {step['baseline_arch_step_ms']:.1f}ms, "
-        f"{step['arch_step_speedup']:.2f}x)",
-        f"forward allocations: {allocs['pool_off']['forward_alloc_blocks']} -> "
-        f"{allocs['pool_on']['forward_alloc_blocks']} blocks "
-        f"({allocs['forward_alloc_reduction']:.1f}x fewer); "
-        f"step peak {allocs['pool_off']['peak_bytes'] / 2**20:.1f} -> "
-        f"{allocs['pool_on']['peak_bytes'] / 2**20:.1f} MiB",
-        f"pool: {step['pool']['hits']} hits / {step['pool']['misses']} misses, "
-        f"{step['pool']['pooled_bytes'] / 2**20:.1f} MiB parked",
-    ]
-    search = report["search"]
-    lines.append(
+        f"weight step {step['weight_step_ms']:7.1f}ms   "
+        f"arch step {step['arch_step_ms']:7.1f}ms",
         f"api.search ({search['epochs']} epochs, {search['blocks']} blocks) "
-        f"{search['epoch_seconds']:.2f}s/epoch (pool off "
-        f"{search['baseline_epoch_seconds']:.2f}s/epoch, "
-        f"{search['speedup']:.2f}x)  loss parity: {search['loss_parity']}"
-    )
+        f"{search['epoch_seconds']:.2f}s/epoch  "
+        f"same-seed loss parity: {search['loss_parity']}",
+    ]
     return "\n".join(lines)
 
 
@@ -1240,9 +1078,8 @@ def bench_search_kernel(quick: bool = False) -> dict[str, Any]:
 
     Times ``ops_nn._depthwise_conv`` (the kernel every depthwise conv runs)
     against ``ops_nn._im2col_conv`` (the grouped-conv path, which depthwise
-    convs ran before the kernel) on the same leaves, with the buffer pool on
-    as in the search loop, over the depthwise shapes of the paper-width arch
-    step (:func:`_arch_step_dw_shapes` of :func:`_make_paper_searcher`, at
+    convs ran before the kernel) on the same leaves, over the depthwise
+    shapes of the paper-width arch step (:func:`_arch_step_dw_shapes` of :func:`_make_paper_searcher`, at
     its batch size).  Samples interleave (see
     :func:`_interleaved_min_cpu`); ``kernel_speedup`` is the geometric mean
     of the per-shape ratios.
@@ -1265,24 +1102,23 @@ def bench_search_kernel(quick: bool = False) -> dict[str, Any]:
         out.sum().backward()
 
     cases = []
-    with buffer_pool(True):
-        for channels, res, k, stride in shapes:
-            x = tensor(rng.standard_normal((batch, channels, res, res)),
-                       requires_grad=True)
-            w = tensor(rng.standard_normal((channels, 1, k, k)),
-                       requires_grad=True)
-            timed = _interleaved_min_cpu({
-                conv: functools.partial(fwd_bwd, conv, x, w, stride, k // 2)
-                for conv in ("im2col", "kernel")
-            }, rounds)
-            x.zero_grad()
-            w.zero_grad()
-            cases.append({
-                "name": f"c{channels}_r{res}_k{k}_s{stride}",
-                "im2col_ms": timed["im2col"] * 1e3,
-                "kernel_ms": timed["kernel"] * 1e3,
-                "speedup": timed["im2col"] / timed["kernel"],
-            })
+    for channels, res, k, stride in shapes:
+        x = tensor(rng.standard_normal((batch, channels, res, res)),
+                   requires_grad=True)
+        w = tensor(rng.standard_normal((channels, 1, k, k)),
+                   requires_grad=True)
+        timed = _interleaved_min_cpu({
+            conv: functools.partial(fwd_bwd, conv, x, w, stride, k // 2)
+            for conv in ("im2col", "kernel")
+        }, rounds)
+        x.zero_grad()
+        w.zero_grad()
+        cases.append({
+            "name": f"c{channels}_r{res}_k{k}_s{stride}",
+            "im2col_ms": timed["im2col"] * 1e3,
+            "kernel_ms": timed["kernel"] * 1e3,
+            "speedup": timed["im2col"] / timed["kernel"],
+        })
     geomean = float(np.exp(np.mean([np.log(c["speedup"]) for c in cases])))
     return {"batch": batch, "cases": cases, "kernel_speedup": geomean}
 

@@ -791,8 +791,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="numerics: conv/supernet/search vs the "
                               "pre-refactor baseline; runtime: Engine.run vs "
                               "BuiltNetwork.forward across the zoo; training: "
-                              "buffer pool + phase-decomposed gradients vs "
-                              "the pre-PR training hot path; search: "
+                              "phase-decomposed vs dilated conv gradients, "
+                              "supernet step and search epoch wall clock; "
+                              "search: "
                               "depthwise kernel vs im2col, batched soft-mode "
                               "supernet evaluation vs the serial oracle")
     p_bench.add_argument("--output", default=None,

@@ -60,7 +60,7 @@ from repro.nas.quantization import (
 )
 
 #: Environment kill-switch: ``REPRO_BATCHED_SOFT=0`` forces every soft pass
-#: onto the serial oracle (mirrors ``REPRO_BUFFER_POOL`` for the pool).
+#: onto the serial oracle (a bisecting aid; results agree to summation order).
 BATCHED_SOFT_ENV = "REPRO_BATCHED_SOFT"
 
 #: Size dispatch, following the ``_conv_input_grad_phased`` pattern: a

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.autograd.ops_basic import quantize_ste
-from repro.autograd.tensor import Tensor, make_op, pool_for_op
+from repro.autograd.tensor import Tensor, make_op
 
 SHARING_MODES = ("per_block_op", "per_op", "global")
 
@@ -134,15 +134,9 @@ def mixed_quantize(x: Tensor, weights: Tensor, bitwidths: tuple[int, ...]) -> Te
     w_data = weights.data
     q = len(bitwidths)
     max_abs = float(np.max(np.abs(x_data))) or 1.0
-    pool = pool_for_op(x, weights)
-    if pool is not None:
-        paths = pool.acquire((q,) + x.shape, x_data.dtype)
-        out = pool.acquire(x.shape, x_data.dtype)
-        scratch = pool.acquire(x.shape, x_data.dtype)
-    else:
-        paths = np.empty((q,) + x.shape, dtype=x_data.dtype)
-        out = np.empty(x.shape, dtype=x_data.dtype)
-        scratch = np.empty(x.shape, dtype=x_data.dtype)
+    paths = np.empty((q,) + x.shape, dtype=x_data.dtype)
+    out = np.empty(x.shape, dtype=x_data.dtype)
+    scratch = np.empty(x.shape, dtype=x_data.dtype)
     for idx, bits in enumerate(bitwidths):
         dest = paths[idx]
         if bits >= 32 or max_abs < 1e-30:
@@ -163,8 +157,6 @@ def mixed_quantize(x: Tensor, weights: Tensor, bitwidths: tuple[int, ...]) -> Te
         else:
             np.multiply(dest, w_data[idx], out=scratch)
             out += scratch
-    if pool is not None:
-        pool.release(scratch)
 
     def backward(grad: np.ndarray):
         grad_w = np.empty(q, dtype=w_data.dtype)
@@ -173,11 +165,7 @@ def mixed_quantize(x: Tensor, weights: Tensor, bitwidths: tuple[int, ...]) -> Te
         grad_x = grad * w_data.sum()
         return grad_x, grad_w
 
-    return make_op(
-        out, (x, weights), backward, "mixed_quantize",
-        retire=(paths,) if pool is not None and pool.owns(paths) else (),
-        pooled_out=pool is not None and pool.owns(out),
-    )
+    return make_op(out, (x, weights), backward, "mixed_quantize")
 
 
 def mixed_quantize_stacked(
@@ -230,11 +218,7 @@ def mixed_quantize_stacked(
     # Only mixed-kernel stacks have padding borders to zero; uniform stacks
     # overwrite every element below.
     needs_zero = any(k != k_max for k in kernels)
-    pool = pool_for_op(*weights, *quant_weights)
-    if pool is not None:
-        paths = pool.acquire((q,) + shape, dtype, zero=needs_zero)
-        out = pool.acquire(shape, dtype, zero=needs_zero)
-    elif needs_zero:
+    if needs_zero:
         paths = np.zeros((q,) + shape, dtype=dtype)
         out = np.zeros(shape, dtype=dtype)
     else:
@@ -293,8 +277,6 @@ def mixed_quantize_stacked(
     return make_op(
         out, tuple(weights) + tuple(quant_weights), backward,
         "mixed_quantize_stacked",
-        retire=(paths,) if pool is not None and pool.owns(paths) else (),
-        pooled_out=pool is not None and pool.owns(out),
     )
 
 
@@ -320,11 +302,7 @@ def fake_quantize_sliced(x: Tensor, copies: int, bits: int) -> Tensor:
     c = c_total // copies
     x_data = x.data
     levels = float(2 ** (bits - 1) - 1)
-    pool = pool_for_op(x)
-    if pool is not None:
-        out = pool.acquire(x.shape, x_data.dtype)
-    else:
-        out = np.empty(x.shape, dtype=x_data.dtype)
+    out = np.empty(x.shape, dtype=x_data.dtype)
     bounds: list[float | None] = []
     for m in range(copies):
         sl = slice(m * c, (m + 1) * c)
@@ -356,7 +334,4 @@ def fake_quantize_sliced(x: Tensor, copies: int, bits: int) -> Tensor:
                 np.multiply(grad[:, sl], inside, out=grad_x[:, sl])
         return (grad_x,)
 
-    return make_op(
-        out, (x,), backward, "fake_quantize_sliced",
-        pooled_out=pool is not None and pool.owns(out),
-    )
+    return make_op(out, (x,), backward, "fake_quantize_sliced")

@@ -134,3 +134,35 @@ class TestSearchLoop:
         a = EDDSearcher(tiny_space, tiny_splits, config).search()
         b = EDDSearcher(tiny_space, tiny_splits, config).search()
         np.testing.assert_allclose(a.theta, b.theta)
+
+    def test_search_leaves_no_memory_behind(self):
+        """Every array a search allocates belongs to its graphs, searcher or
+        result: once those are deleted, traced memory is back at the
+        pre-search baseline (no free list keeps training buffers alive)."""
+        import gc
+        import tracemalloc
+
+        from repro.data.synthetic import SyntheticTaskConfig, make_synthetic_task
+        from repro.nas.space import SearchSpaceConfig
+
+        space = SearchSpaceConfig.reduced(num_blocks=2, num_classes=4, input_size=12)
+        splits = make_synthetic_task(SyntheticTaskConfig(
+            num_classes=4, image_size=12, train_per_class=6, val_per_class=4,
+            test_per_class=4, seed=0,
+        ))
+        config = EDDConfig(target="fpga_pipelined", epochs=2, batch_size=8,
+                           seed=0, arch_start_epoch=0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            searcher = EDDSearcher(space, splits, config)
+            result = searcher.search()
+            _, peak = tracemalloc.get_traced_memory()
+            del searcher, result
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert peak - baseline > 1 << 20  # the search did allocate
+        assert retained < 0.05 * (peak - baseline)

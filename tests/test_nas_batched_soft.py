@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 import repro.autograd.ops_nn as ops_nn
-from repro.autograd.pool import _ENV_SWITCH as POOL_ENV
 from repro.autograd.tensor import Tensor, default_dtype, tensor
 from repro.nas import batched
 from repro.nas.batched import (
@@ -119,20 +118,18 @@ def test_reduced_space_has_stride2_block():
     assert 2 in SearchSpaceConfig.reduced().block_strides
 
 
-def test_pool_on_off_parity_batched(monkeypatch):
-    """The batched path must be byte-stable under the buffer pool toggle."""
+def test_batched_step_is_repeatable(monkeypatch):
+    """Two identical batched soft steps give byte-identical losses and grads."""
     space = SearchSpaceConfig.reduced()
     quant = QuantizationConfig.fpga()
-    monkeypatch.setenv(POOL_ENV, "1")
-    on = _run_soft_step(space, quant, True, monkeypatch)
-    monkeypatch.setenv(POOL_ENV, "0")
-    off = _run_soft_step(space, quant, True, monkeypatch)
-    assert on[0] == off[0]
-    for name in on[1]:
-        if on[1][name] is None:
-            assert off[1][name] is None
+    first = _run_soft_step(space, quant, True, monkeypatch)
+    second = _run_soft_step(space, quant, True, monkeypatch)
+    assert first[0] == second[0]
+    for name in first[1]:
+        if first[1][name] is None:
+            assert second[1][name] is None
             continue
-        np.testing.assert_array_equal(on[1][name], off[1][name], err_msg=name)
+        np.testing.assert_array_equal(first[1][name], second[1][name], err_msg=name)
 
 
 # ------------------------------------------------------ dispatch behaviour

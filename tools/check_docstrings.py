@@ -136,10 +136,9 @@ def collect_missing() -> list[str]:
         if inspect.isclass(obj):
             missing.extend(_missing_in_class(obj, label))
 
-    # Training-hot-path surface: the autograd buffer pool, the serving-log
-    # calibration refit, and the batched soft-mode evaluator.
+    # Training-hot-path surface: the serving-log calibration refit, the
+    # fused conv kernels and the batched soft-mode evaluator.
     from repro.autograd import ops_nn
-    from repro.autograd import pool as autograd_pool
     from repro.hw import calibration
     from repro.nas import batched, quantization
     from repro.resilience import testing as resilience_testing
@@ -153,7 +152,6 @@ def collect_missing() -> list[str]:
             "FaultInjected", "FaultyPayload", "FaultyTask", "attempts_made",
             "slow",
         )),
-        (autograd_pool, ("BufferPool", "buffer_pool", "get_pool")),
         (calibration, (
             "CalibrationFit", "fit_calibration_scale", "fit_from_serving_log",
             "append_serving_record", "load_serving_log", "apply_fit",
