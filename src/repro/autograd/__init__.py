@@ -22,6 +22,7 @@ Design notes
 from repro.autograd.tensor import (
     Tensor,
     default_dtype,
+    frozen,
     get_default_dtype,
     no_grad,
     set_default_dtype,
@@ -71,6 +72,7 @@ __all__ = [
     "Tensor",
     "add",
     "default_dtype",
+    "frozen",
     "get_default_dtype",
     "set_default_dtype",
     "avg_pool2d",

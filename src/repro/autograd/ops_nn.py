@@ -24,7 +24,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, make_op
+from repro.autograd.tensor import Tensor, make_op, needs_grad
 from repro.autograd.ops_shape import pad2d
 
 
@@ -257,6 +257,27 @@ def _conv_input_grad(
     return _conv_input_grad_phased(grad, w_data, x_shape, stride, groups)
 
 
+def _batch_folded_gemm(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``sum_n g[n] @ cols[n].T``: the weight gradient of a batched GEMM.
+
+    ``g`` is ``(N, ..., P, L)`` and ``cols`` ``(N, ..., Q, L)`` with the same
+    leading (group) axes; returns ``(..., P, Q)``.  When the weight (P x Q)
+    is larger than a sample's operands ((P + Q) x L, the late-block shapes
+    of the search space), the batch moves next to L and becomes part of one
+    GEMM's K loop: only the activation-sized operands are copied into that
+    layout (nothing for N == 1), where summing per-sample products would
+    first build an N x weight-sized stack.  For smaller weights that stack
+    is cheaper than the copies, and the per-sample products run instead.
+    """
+    n, p, q, l = g.shape[0], g.shape[-2], cols.shape[-2], g.shape[-1]
+    if n > 1 and p * q <= (p + q) * l:
+        return np.matmul(g, np.swapaxes(cols, -1, -2)).sum(axis=0)
+    lead = g.shape[1:-2]
+    g_k = np.moveaxis(g, 0, -2).reshape(lead + (p, n * l))
+    cols_k = np.moveaxis(cols, 0, -2).reshape(lead + (q, n * l))
+    return np.matmul(g_k, np.swapaxes(cols_k, -1, -2))
+
+
 # Materialized column matrices above this size are processed in batch chunks:
 # allocations past glibc's mmap threshold cap (32 MiB) page-fault on every
 # conv, which costs far more than the extra python iterations of cache
@@ -284,31 +305,36 @@ def _im2col_conv(xp: Tensor, weight: Tensor, stride: int, groups: int,
     per_sample_bytes = x_data.shape[1] * k_h * k_w * out_h * out_w * x_data.itemsize
     # The closure contract allows returning None per parent: skip the input
     # gradient entirely when the input is graph-external (e.g. the stem conv
-    # consuming the data batch) — that's the priciest half of the backward.
-    need_input_grad = xp.requires_grad or xp.backward_fn is not None
+    # consuming the data batch) — that's the priciest half of the backward —
+    # and the weight gradient, with the columns it reads, for a frozen weight.
+    need_input_grad = needs_grad(xp)
+    need_weight_grad = needs_grad(weight)
 
     if view_only or n * per_sample_bytes <= _COL_CHUNK_BYTES:
         # The forward is the inference kernel (conv2d_into); the columns it
         # materialises are kept for the weight gradient.
-        col6 = None if view_only else np.empty(
+        col6 = None if view_only or not need_weight_grad else np.empty(
             (n, x_data.shape[1], k_h, k_w, out_h, out_w), dtype=x_data.dtype
         )
         out = conv2d_into(x_data, w_data, stride=stride, groups=groups, cols=col6)
         cols = (x_data if view_only else col6).reshape(
             n, groups, col_len, out_h * out_w
-        )
+        ) if need_weight_grad else None
 
         def backward(grad: np.ndarray):
-            g = grad.reshape(n, groups, c_out_g, out_h * out_w)
-            # dW: per-sample batched GEMM against the transposed-view columns
-            # (BLAS consumes the transpose directly), reduced over the batch.
-            grad_w = np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+            grad_w = (
+                _batch_folded_gemm(
+                    grad.reshape(n, groups, c_out_g, out_h * out_w), cols
+                ).reshape(w_data.shape)
+                if need_weight_grad
+                else None
+            )
             grad_x = (
                 _conv_input_grad(grad, w_data, x_data.shape, stride, groups)
                 if need_input_grad
                 else None
             )
-            return grad_x, grad_w.reshape(w_data.shape)
+            return grad_x, grad_w
 
         return make_op(out, (xp, weight), backward, op_name)
 
@@ -321,21 +347,27 @@ def _im2col_conv(xp: Tensor, weight: Tensor, stride: int, groups: int,
         )
 
     def backward_chunked(grad: np.ndarray):
-        grad_w = np.zeros((groups, c_out_g, col_len), dtype=w_data.dtype)
+        grad_w = (
+            np.zeros((groups, c_out_g, col_len), dtype=w_data.dtype)
+            if need_weight_grad else None
+        )
         grad_x = (
             np.empty(x_data.shape, dtype=x_data.dtype) if need_input_grad else None
         )
         for start in range(0, n, step):
             sl = slice(start, start + step)
             chunk = x_data[sl]
-            cols, _, _ = _im2col(chunk, k_h, k_w, stride, groups)
-            g = grad[sl].reshape(chunk.shape[0], groups, c_out_g, out_h * out_w)
-            grad_w += np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+            if grad_w is not None:
+                cols, _, _ = _im2col(chunk, k_h, k_w, stride, groups)
+                grad_w += _batch_folded_gemm(
+                    grad[sl].reshape(chunk.shape[0], groups, c_out_g, out_h * out_w),
+                    cols,
+                )
             if grad_x is not None:
                 grad_x[sl] = _conv_input_grad(
                     grad[sl], w_data, chunk.shape, stride, groups
                 )
-        return grad_x, grad_w.reshape(w_data.shape)
+        return grad_x, None if grad_w is None else grad_w.reshape(w_data.shape)
 
     return make_op(out, (xp, weight), backward_chunked, op_name)
 
@@ -391,8 +423,8 @@ def _depthwise_conv(x: Tensor, weight: Tensor, stride: int, padding: int) -> Ten
 
     Each side converts NCHW <-> NHWC once.  The backward keeps only the
     padded canvas and the (kH, kW, C) kernel, never a column matrix.  As in
-    :func:`_im2col_conv`, the input gradient is skipped for graph-external
-    inputs.
+    :func:`_im2col_conv`, the input (weight) gradient is skipped for a
+    graph-external input (weight).
     """
     x_data, w_data = x.data, weight.data
     dtype = x_data.dtype
@@ -412,13 +444,16 @@ def _depthwise_conv(x: Tensor, weight: Tensor, stride: int, padding: int) -> Ten
     acc = np.empty((n, out_h, out_w, c), dtype=dtype)
     np.einsum("nhwijc,ijc->nhwc", taps, w_taps, out=acc)
     out = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
-    need_input_grad = x.requires_grad or x.backward_fn is not None
+    need_input_grad = needs_grad(x)
+    need_weight_grad = needs_grad(weight)
 
     def backward(grad: np.ndarray):
         g = np.ascontiguousarray(grad.transpose(0, 2, 3, 1))
-        grad_w_taps = np.empty((k_h, k_w, c), dtype=grad.dtype)
-        np.einsum("nhwijc,nhwc->ijc", taps, g, out=grad_w_taps)
-        grad_w = grad_w_taps.transpose(2, 0, 1).reshape(w_data.shape)
+        grad_w = None
+        if need_weight_grad:
+            grad_w_taps = np.empty((k_h, k_w, c), dtype=grad.dtype)
+            np.einsum("nhwijc,nhwc->ijc", taps, g, out=grad_w_taps)
+            grad_w = grad_w_taps.transpose(2, 0, 1).reshape(w_data.shape)
         if not need_input_grad:
             return None, grad_w
         # Transposed convolution: output-gradient row t feeds interior rows
@@ -740,28 +775,41 @@ def batch_norm2d(
     Returns ``(out, batch_mean, batch_var)`` — the batch statistics are plain
     arrays for the caller's running-average update.  One graph node replaces
     the ~15 primitive ops of the composite formulation, with the textbook
-    backward: ``dx = gamma*inv_std/M * (M*g - sum(g) - xhat*sum(g*xhat))``.
+    backward ``dx = gamma*inv_std * (g - sum(g)/M - xhat*sum(g*xhat)/M)``.
+
+    The input is centred once; that copy is scaled into ``xhat`` in place
+    (the only array the backward keeps), and the variance and ``grad_gamma``
+    are per-channel contractions, so neither pass builds a temporary the
+    size of the activation.  ``dx`` is assembled in place in its own array.
+    Parents outside the graph get ``None``.
     """
     if x.ndim != 4:
         raise ValueError(f"batch_norm2d expects NCHW input, got {x.shape}")
     x_data = x.data
+    m = x_data.shape[0] * x_data.shape[2] * x_data.shape[3]
     mean = x_data.mean(axis=(0, 2, 3))
-    var = x_data.var(axis=(0, 2, 3))
+    xhat = x_data - mean[None, :, None, None]
+    var = np.einsum("nchw,nchw->c", xhat, xhat) / m
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x_data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat *= inv_std[None, :, None, None]
+    out = xhat * gamma.data[None, :, None, None]
+    out += beta.data[None, :, None, None]
+    need_x, need_gamma, need_beta = needs_grad(x), needs_grad(gamma), needs_grad(beta)
 
     def backward(grad: np.ndarray):
-        m = grad.shape[0] * grad.shape[2] * grad.shape[3]
         grad_beta = grad.sum(axis=(0, 2, 3))
-        grad_gamma = (grad * xhat).sum(axis=(0, 2, 3))
-        scale = (gamma.data * inv_std / m)[None, :, None, None]
-        grad_x = scale * (
-            m * grad
-            - grad_beta[None, :, None, None]
-            - xhat * grad_gamma[None, :, None, None]
+        grad_gamma = np.einsum("nchw,nchw->c", grad, xhat)
+        grad_x = None
+        if need_x:
+            grad_x = xhat * (grad_gamma / -m)[None, :, None, None]
+            grad_x += grad
+            grad_x -= (grad_beta / m)[None, :, None, None]
+            grad_x *= (gamma.data * inv_std)[None, :, None, None]
+        return (
+            grad_x,
+            grad_gamma if need_gamma else None,
+            grad_beta if need_beta else None,
         )
-        return grad_x, grad_gamma, grad_beta
 
     return make_op(out, (x, gamma, beta), backward, "batch_norm2d"), mean, var
 
@@ -1108,7 +1156,8 @@ def project_candidates(
             xm,
             out=out[:, m * c_out : (m + 1) * c_out].reshape(n, c_out, l),
         )
-    need_input_grad = x.requires_grad or x.backward_fn is not None
+    need_input_grad = needs_grad(x)
+    need_weight_grads = [needs_grad(wt) for wt in weights]
 
     def backward(grad: np.ndarray):
         grad_x = (
@@ -1121,7 +1170,8 @@ def project_candidates(
             xm = x_data[:, offsets[m] : offsets[m + 1]].reshape(n, h_m, l)
             gm = grad[:, m * c_out : (m + 1) * c_out].reshape(n, c_out, l)
             grads_w.append(
-                np.matmul(gm, xm.transpose(0, 2, 1)).sum(axis=0).reshape(wt.shape)
+                _batch_folded_gemm(gm, xm).reshape(wt.shape)
+                if need_weight_grads[m] else None
             )
             if grad_x is not None:
                 np.matmul(
@@ -1154,12 +1204,19 @@ def mix_candidates(stacked: Tensor, weights: Tensor, copies: int) -> Tensor:
     c = c_total // copies
     stacked5 = stacked.data.reshape(n, copies, c, h, w)
     out = np.einsum("m,nmchw->nchw", weights.data, stacked5)
+    need_stacked = needs_grad(stacked)
+    need_weights = needs_grad(weights)
 
     def backward(grad: np.ndarray):
         grad_stacked = (
-            weights.data[None, :, None, None, None] * grad[:, None]
-        ).reshape(stacked.shape)
-        grad_w = np.einsum("nmchw,nchw->m", stacked5, grad)
+            (weights.data[None, :, None, None, None] * grad[:, None]).reshape(
+                stacked.shape
+            )
+            if need_stacked else None
+        )
+        grad_w = (
+            np.einsum("nmchw,nchw->m", stacked5, grad) if need_weights else None
+        )
         return grad_stacked, grad_w
 
     return make_op(out, (stacked, weights), backward, "mix_candidates")

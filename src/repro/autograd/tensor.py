@@ -20,7 +20,7 @@ setting.
 from __future__ import annotations
 
 import contextlib
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
 
 import numpy as np
@@ -89,6 +89,27 @@ def no_grad() -> Iterator[None]:
 
 def is_grad_enabled() -> bool:
     return _grad_enabled
+
+
+@contextlib.contextmanager
+def frozen(tensors: Iterable["Tensor"]) -> Iterator[None]:
+    """Treat ``tensors`` as constants inside the ``with`` block.
+
+    The sibling of :func:`no_grad` for one set of leaves: ``requires_grad``
+    is cleared on entry and restored on exit (also when the block raises),
+    while the rest of the graph still records.  Ops whose parents are all
+    frozen record nothing, and ops with a frozen parent skip its gradient,
+    so a backward computes only the gradients of the unfrozen leaves.  Both
+    the forward and the ``backward()`` call belong inside the block.
+    """
+    saved = [(t, t.requires_grad) for t in tensors]
+    for t, _ in saved:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, flag in saved:
+            t.requires_grad = flag
 
 
 class Tensor:
@@ -177,7 +198,9 @@ class Tensor:
 
         ``grad`` defaults to ones (for scalar losses that is the usual seed).
         Gradients accumulate (+=) into every reachable tensor that has
-        ``requires_grad=True``, including intermediates.
+        ``requires_grad=True``, including intermediates.  A parent outside
+        the graph (a constant, or a leaf under :func:`frozen`) receives
+        nothing, even when its op returned a gradient for it.
         """
         if grad is None:
             grad = np.ones_like(self.data)
@@ -211,6 +234,8 @@ class Tensor:
                             f"{parent_grad.shape} for parent of shape "
                             f"{parent.data.shape}"
                         )
+                    if not needs_grad(parent):
+                        continue
                     existing = grads.get(id(parent))
                     grads[id(parent)] = (
                         parent_grad if existing is None else existing + parent_grad
@@ -327,7 +352,7 @@ def make_op(
     The output participates in the graph only if grad mode is on and at least
     one parent (transitively) requires gradients.
     """
-    track = _grad_enabled and any(_needs_graph(p) for p in parents)
+    track = _grad_enabled and any(needs_grad(p) for p in parents)
     if not track:
         return Tensor(out_data, op_name=op_name)
     return Tensor(
@@ -338,7 +363,12 @@ def make_op(
     )
 
 
-def _needs_graph(t: Tensor) -> bool:
+def needs_grad(t: Tensor) -> bool:
+    """Whether a gradient for ``t`` reaches a leaf that wants one.
+
+    Backward closures check their parents with it (at forward time) and
+    return ``None`` for a parent that does not.
+    """
     return t.requires_grad or t.backward_fn is not None
 
 

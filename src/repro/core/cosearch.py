@@ -19,12 +19,13 @@ backwards compatibility — targets/devices are registered and resolved in
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import warnings
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, frozen
 from repro.core.config import EDDConfig
 from repro.core.engine import EpochContext, SearchEngine
 from repro.core.loss import combined_loss
@@ -176,14 +177,22 @@ class EDDSearcher:
         return getattr(self.hw_model, "alpha", 1.0)
 
     # -- steps ------------------------------------------------------------------
+    # Each step freezes the variables its optimiser does not update, so its
+    # backward computes only the gradients that optimiser applies: no
+    # Theta/Phi/pf gradients in the weight step, no weight gradients (the
+    # largest arrays of the search) in the architecture step.
+
     def weight_step(self, images: np.ndarray, labels: np.ndarray) -> float:
         """Inner-level update of DNN weights on a training batch."""
         self.weight_optimizer.zero_grad()
         self.arch_optimizer.zero_grad()
-        sample = self.supernet.sample(self.sampler, hard=self.config.hard_weight_step)
-        logits = self.supernet(Tensor(images), sample=sample)
-        loss = cross_entropy(logits, labels)
-        loss.backward()
+        with frozen(self.arch_optimizer.params):
+            sample = self.supernet.sample(
+                self.sampler, hard=self.config.hard_weight_step
+            )
+            logits = self.supernet(Tensor(images), sample=sample)
+            loss = cross_entropy(logits, labels)
+            loss.backward()
         if self.config.grad_clip is not None:
             clip_grad_norm(self.weight_optimizer.params, self.config.grad_clip)
         self.weight_optimizer.step()
@@ -193,18 +202,21 @@ class EDDSearcher:
         """Outer-level update of {Theta, Phi, pf} on a validation batch (Eq. 1)."""
         self.weight_optimizer.zero_grad()
         self.arch_optimizer.zero_grad()
-        sample = self.supernet.sample(self.sampler, hard=self.config.hard_arch_step)
-        logits = self.supernet(Tensor(images), sample=sample)
-        acc_loss = cross_entropy(logits, labels)
-        hw_eval = self.hw_model.evaluate(sample)
-        total = combined_loss(
-            acc_loss,
-            hw_eval,
-            self.hw_model.resource_bound,
-            beta=self.config.beta,
-            penalty_base=self.config.penalty_base,
-        )
-        total.backward()
+        with frozen(self.weight_optimizer.params):
+            sample = self.supernet.sample(
+                self.sampler, hard=self.config.hard_arch_step
+            )
+            logits = self.supernet(Tensor(images), sample=sample)
+            acc_loss = cross_entropy(logits, labels)
+            hw_eval = self.hw_model.evaluate(sample)
+            total = combined_loss(
+                acc_loss,
+                hw_eval,
+                self.hw_model.resource_bound,
+                beta=self.config.beta,
+                penalty_base=self.config.penalty_base,
+            )
+            total.backward()
         if self.config.grad_clip is not None:
             clip_grad_norm(self.arch_optimizer.params, self.config.grad_clip)
         self.arch_optimizer.step()
@@ -219,11 +231,19 @@ class EDDSearcher:
     # -- second-order (DARTS) architecture step -----------------------------------
     def _weight_grads(self, images: np.ndarray, labels: np.ndarray,
                       sample: SampledArch) -> list[np.ndarray]:
-        """``grad_w L_train`` under a fixed sample (arch grads discarded)."""
+        """``grad_w L_train`` under a fixed sample (Theta/Phi/pf frozen)."""
         self.weight_optimizer.zero_grad()
         self.arch_optimizer.zero_grad()
-        loss = cross_entropy(self.supernet(Tensor(images), sample=sample), labels)
-        loss.backward()
+        # The sample was drawn outside this scope, so its gates still carry
+        # graph back to Theta/Phi: cut it as the freeze would have.
+        sample = dataclasses.replace(
+            sample,
+            op_weights=sample.op_weights.detach(),
+            quant_weights=sample.quant_weights.detach(),
+        )
+        with frozen(self.arch_optimizer.params):
+            loss = cross_entropy(self.supernet(Tensor(images), sample=sample), labels)
+            loss.backward()
         return [
             p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
             for p in self.weight_optimizer.params
@@ -231,11 +251,12 @@ class EDDSearcher:
 
     def _arch_grads(self, images: np.ndarray, labels: np.ndarray,
                     sample: SampledArch) -> list[np.ndarray]:
-        """``grad_alpha L_train`` at the current weights (weights untouched)."""
+        """``grad_alpha L_train`` at the current weights (weights frozen)."""
         self.weight_optimizer.zero_grad()
         self.arch_optimizer.zero_grad()
-        loss = cross_entropy(self.supernet(Tensor(images), sample=sample), labels)
-        loss.backward()
+        with frozen(self.weight_optimizer.params):
+            loss = cross_entropy(self.supernet(Tensor(images), sample=sample), labels)
+            loss.backward()
         return [
             p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
             for p in self.arch_optimizer.params

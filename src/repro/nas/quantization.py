@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.autograd.ops_basic import quantize_ste
-from repro.autograd.tensor import Tensor, make_op
+from repro.autograd.tensor import Tensor, make_op, needs_grad
 
 SHARING_MODES = ("per_block_op", "per_op", "global")
 
@@ -109,6 +109,99 @@ def quantization_error(x: np.ndarray, bits: int) -> float:
     return float(np.sqrt(np.mean((x - quantised) ** 2)))
 
 
+#: Elements per block of the fused Stage-1 kernels below: every quantisation
+#: path of a block is formed, mixed and dropped while the block is still in
+#: the L2 cache, instead of making one pass over the whole weight per
+#: elementwise step.  Chosen by measurement over the paper-scale supernet's
+#: conv weights: 32K-128K elements time within ~10% of each other, 4K is
+#: ~1.8x slower and one block per tensor ~10% slower (docs/performance.md).
+QUANT_BLOCK_ELEMS = 65536
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """The tensor's own max magnitude (1.0 for all-zero), with no temporary."""
+    return max(float(x.max()), -float(x.min())) or 1.0
+
+
+def _path_steps(
+    max_abs: float, bitwidths: tuple[int, ...]
+) -> list[tuple[float, float] | None]:
+    """Per path ``(1/scale, scale)``, or ``None`` where the path is the
+    identity (the float path, or a (sub)normal-range tensor whose grid
+    degenerates — see :func:`fake_quantize`)."""
+    steps: list[tuple[float, float] | None] = []
+    for bits in bitwidths:
+        if bits >= 32 or max_abs < 1e-30:
+            steps.append(None)
+            continue
+        if bits < 2:
+            raise ValueError(f"cannot quantise to {bits} bits")
+        scale = max_abs / float(2 ** (bits - 1) - 1)
+        steps.append((1.0 / scale, scale))
+    return steps
+
+
+def _blocks(src: np.ndarray):
+    """Yield ``(lo, hi, src[lo:hi], tmp)`` over blocks of rows of ``src``.
+
+    A block holds about :data:`QUANT_BLOCK_ELEMS` elements (at least one
+    row); ``tmp`` is one block-sized buffer shared by every block, the
+    scratch in which :func:`_path_at` forms a quantised path.
+    """
+    rows = max(1, QUANT_BLOCK_ELEMS // max(src[0].size, 1))
+    buf = np.empty((min(rows, src.shape[0]),) + src.shape[1:], dtype=src.dtype)
+    for lo in range(0, src.shape[0], rows):
+        hi = min(lo + rows, src.shape[0])
+        yield lo, hi, src[lo:hi], buf[: hi - lo]
+
+
+def _path_at(x: np.ndarray, tmp: np.ndarray,
+             step: tuple[float, float] | None) -> np.ndarray:
+    """``fq(x)`` for one path: ``x`` itself for the identity, else formed in
+    ``tmp``.  The clip to ``[-max_abs, max_abs]`` is the identity
+    (``max_abs`` is the tensor's own max magnitude), so the path is
+    ``rint(x * (1/scale)) * scale`` straight from the source."""
+    if step is None:
+        return x
+    np.multiply(x, step[0], out=tmp)
+    np.rint(tmp, out=tmp)
+    tmp *= step[1]
+    return tmp
+
+
+def _mix_paths(src: np.ndarray, dst: np.ndarray, mix: np.ndarray,
+               max_abs: float, bitwidths: tuple[int, ...]) -> None:
+    """``dst = sum_q mix[q] * fq_q(src)``, block by block.
+
+    Elementwise, with the accumulation order of the unblocked formula
+    (``mix[0] * fq_0`` first, then ``+= mix[q] * fq_q``), so the result is
+    bit-identical to it.
+    """
+    steps = _path_steps(max_abs, bitwidths)
+    for lo, hi, x, tmp in _blocks(src):
+        out = dst[lo:hi]
+        for idx, step in enumerate(steps):
+            path = _path_at(x, tmp, step)
+            if idx == 0:
+                np.multiply(path, mix[0], out=out)
+            else:
+                np.multiply(path, mix[idx], out=tmp)
+                out += tmp
+
+
+def _path_dots(src: np.ndarray, grad: np.ndarray, max_abs: float,
+               bitwidths: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """``<fq_q(src), grad>`` for every path ``q``, recomputing each path
+    block by block instead of keeping Q quantised copies alive."""
+    steps = _path_steps(max_abs, bitwidths)
+    acc = [0.0] * len(steps)
+    for lo, hi, x, tmp in _blocks(src):
+        g = grad[lo:hi]
+        for idx, step in enumerate(steps):
+            acc[idx] += float(np.vdot(_path_at(x, tmp, step), g))
+    return np.array(acc, dtype=dtype)
+
+
 def mixed_quantize(x: Tensor, weights: Tensor, bitwidths: tuple[int, ...]) -> Tensor:
     """Gumbel-weighted mixture of quantisation paths (soft Stage-1 forward).
 
@@ -116,15 +209,15 @@ def mixed_quantize(x: Tensor, weights: Tensor, bitwidths: tuple[int, ...]) -> Te
     Phi).  With a hard sample this reduces to the single selected path; with
     a soft sample it is the expectation over paths, matching Eqs. 2-3.
 
-    Implemented as **one fused graph node** instead of the former
-    ``Q x (quantize -> getitem -> mul) -> add`` composite (~3Q+2 nodes and
-    buffers per conv weight — a measurable share of the supernet step's heap
-    churn and python dispatch).  The forward accumulates the terms in the
-    same order as the composite did, so outputs are unchanged; the backward
-    uses the straight-through identities the composite's graph computed
-    piecewise: every element lies inside the clip range (``max_abs`` is the
-    tensor's own maximum), so ``dL/dx = sum_i(w_i) * g`` and
-    ``dL/dw_i = sum(fq_i(x) * g)``.
+    One fused graph node instead of a ``Q x (quantize -> mul) -> add``
+    composite.  The forward forms, mixes and drops the Q paths block by
+    block (:data:`QUANT_BLOCK_ELEMS`); its output equals the composite's bit
+    for bit.  The backward uses the straight-through identities: every
+    element lies inside the clip range (``max_abs`` is the tensor's own
+    maximum), so ``dL/dx = sum_i(w_i) * g`` and ``dL/dw_i = <fq_i(x), g>``.
+    No quantised path outlives the forward: the backward recomputes each
+    one block by block for its dot product.  A parent outside the graph
+    (e.g. a weight under :func:`repro.autograd.tensor.frozen`) gets ``None``.
     """
     if weights.shape != (len(bitwidths),):
         raise ValueError(
@@ -132,37 +225,21 @@ def mixed_quantize(x: Tensor, weights: Tensor, bitwidths: tuple[int, ...]) -> Te
         )
     x_data = x.data
     w_data = weights.data
-    q = len(bitwidths)
-    max_abs = float(np.max(np.abs(x_data))) or 1.0
-    paths = np.empty((q,) + x.shape, dtype=x_data.dtype)
+    max_abs = _max_abs(x_data)
     out = np.empty(x.shape, dtype=x_data.dtype)
-    scratch = np.empty(x.shape, dtype=x_data.dtype)
-    for idx, bits in enumerate(bitwidths):
-        dest = paths[idx]
-        if bits >= 32 or max_abs < 1e-30:
-            np.copyto(dest, x_data)  # the float path: quantisation is identity
-        else:
-            if bits < 2:
-                raise ValueError(f"cannot quantise to {bits} bits")
-            levels = float(2 ** (bits - 1) - 1)
-            scale = max_abs / levels
-            # clip to [-max_abs, max_abs] is the identity here (max_abs is
-            # the tensor's own max magnitude), so the scale multiply reads
-            # x directly — one fewer full pass, bit-identical output.
-            np.multiply(x_data, 1.0 / scale, out=dest)
-            np.rint(dest, out=dest)
-            dest *= scale
-        if idx == 0:
-            np.multiply(dest, w_data[0], out=out)
-        else:
-            np.multiply(dest, w_data[idx], out=scratch)
-            out += scratch
+    # Blocks run along the leading axis, as in mixed_quantize_stacked, so a
+    # stacked candidate slice reproduces this op bit for bit.
+    src = np.atleast_1d(x_data)
+    _mix_paths(src, np.atleast_1d(out), w_data, max_abs, bitwidths)
+    need_x = needs_grad(x)
+    need_w = needs_grad(weights)
 
     def backward(grad: np.ndarray):
-        grad_w = np.empty(q, dtype=w_data.dtype)
-        for idx in range(q):
-            grad_w[idx] = (grad * paths[idx]).sum()
-        grad_x = grad * w_data.sum()
+        grad_x = grad * w_data.sum() if need_x else None
+        grad_w = (
+            _path_dots(src, np.atleast_1d(grad), max_abs, bitwidths, w_data.dtype)
+            if need_w else None
+        )
         return grad_x, grad_w
 
     return make_op(out, (x, weights), backward, "mixed_quantize")
@@ -185,13 +262,15 @@ def mixed_quantize_stacked(
     kernels are zero-padded centred (see
     :func:`repro.autograd.ops_nn.stack_conv_weights` for why that preserves
     conv semantics).  Per candidate slice the arithmetic is bit-identical to
-    ``mixed_quantize``; one tape node replaces M of them plus the stack.
+    ``mixed_quantize``, block by block as there; one tape node replaces M of
+    them plus the stack.
 
     Backward uses the same straight-through identities per slice
     (``dL/dw_m = grad_m * sum_q qw_m[q]``, ``dL/dqw_m[q] = <fq_q(w_m),
-    grad_m>``); a ``quant_weights`` tensor shared between candidates (the
-    ``per_op``/``global`` sharing modes) appears once per candidate in the
-    parent tuple and its gradient contributions accumulate.
+    grad_m>``, each path recomputed block by block); a ``quant_weights``
+    tensor shared between candidates (the ``per_op``/``global`` sharing
+    modes) appears once per candidate in the parent tuple and its gradient
+    contributions accumulate.  Parents outside the graph get ``None``.
     """
     if len(weights) != len(quant_weights) or not weights:
         raise ValueError("need one quant-weight slice per candidate weight")
@@ -218,60 +297,30 @@ def mixed_quantize_stacked(
     # Only mixed-kernel stacks have padding borders to zero; uniform stacks
     # overwrite every element below.
     needs_zero = any(k != k_max for k in kernels)
-    if needs_zero:
-        paths = np.zeros((q,) + shape, dtype=dtype)
-        out = np.zeros(shape, dtype=dtype)
-    else:
-        paths = np.empty((q,) + shape, dtype=dtype)
-        out = np.empty(shape, dtype=dtype)
-    for m, (wt, qw) in enumerate(zip(weights, quant_weights)):
-        x_data = wt.data
-        w_data = qw.data
-        k = kernels[m]
-        off = (k_max - k) // 2
-        window = (
+    out = (np.zeros if needs_zero else np.empty)(shape, dtype=dtype)
+    sources = [wt.data for wt in weights]
+    bounds = [_max_abs(src) for src in sources]
+    windows = []
+    for m, qw in enumerate(quant_weights):
+        off = (k_max - kernels[m]) // 2
+        windows.append((
             slice(offsets[m], offsets[m + 1]), slice(None),
-            slice(off, off + k), slice(off, off + k),
-        )
-        max_abs = float(np.max(np.abs(x_data))) or 1.0
-        scratch = np.empty(x_data.shape, dtype=dtype)
-        out_slice = out[window]
-        for idx, bits in enumerate(bitwidths):
-            dest = paths[(idx,) + window]
-            if bits >= 32 or max_abs < 1e-30:
-                np.copyto(dest, x_data)  # the float path: quantisation is identity
-            else:
-                if bits < 2:
-                    raise ValueError(f"cannot quantise to {bits} bits")
-                levels = float(2 ** (bits - 1) - 1)
-                scale = max_abs / levels
-                # clip is the identity at the tensor's own max magnitude
-                # (see mixed_quantize) — scale straight from the source.
-                np.multiply(x_data, 1.0 / scale, out=dest)
-                np.rint(dest, out=dest)
-                dest *= scale
-            if idx == 0:
-                np.multiply(dest, w_data[0], out=out_slice)
-            else:
-                np.multiply(dest, w_data[idx], out=scratch)
-                out_slice += scratch
+            slice(off, off + kernels[m]), slice(off, off + kernels[m]),
+        ))
+        _mix_paths(sources[m], out[windows[m]], qw.data, bounds[m], bitwidths)
+    need_w = [needs_grad(wt) for wt in weights]
+    need_qw = [needs_grad(qw) for qw in quant_weights]
 
     def backward(grad: np.ndarray):
         grads_w = []
         grads_qw = []
         for m, qw in enumerate(quant_weights):
-            k = kernels[m]
-            off = (k_max - k) // 2
-            window = (
-                slice(offsets[m], offsets[m + 1]), slice(None),
-                slice(off, off + k), slice(off, off + k),
+            g_slice = grad[windows[m]]
+            grads_w.append(g_slice * qw.data.sum() if need_w[m] else None)
+            grads_qw.append(
+                _path_dots(sources[m], g_slice, bounds[m], bitwidths, qw.data.dtype)
+                if need_qw[m] else None
             )
-            g_slice = grad[window]
-            grads_w.append(g_slice * qw.data.sum())
-            grad_qw = np.empty(q, dtype=qw.data.dtype)
-            for idx in range(q):
-                grad_qw[idx] = (g_slice * paths[(idx,) + window]).sum()
-            grads_qw.append(grad_qw)
         return tuple(grads_w) + tuple(grads_qw)
 
     return make_op(

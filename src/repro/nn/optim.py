@@ -59,10 +59,12 @@ class Optimizer:
 class SGD(Optimizer):
     """Stochastic gradient descent with classical momentum and weight decay.
 
-    Updates run fully in place (velocity, parameters, and a persistent
-    per-parameter scratch buffer for the decay/LR products), so a steady-state
-    step performs no heap allocation — same arithmetic order, and therefore
-    bit-identical results, as the allocating formulation it replaces.
+    Updates run fully in place (velocity, parameters, and one persistent
+    scratch buffer per dtype, sized to the largest parameter, whose leading
+    elements hold each parameter's decay/LR products in turn), so a
+    steady-state step performs no heap allocation and keeps no second copy
+    of the weights — same arithmetic order, and therefore bit-identical
+    results, as the allocating formulation it replaces.
     """
 
     def __init__(
@@ -78,12 +80,23 @@ class SGD(Optimizer):
         self.momentum = momentum
         self.weight_decay = weight_decay
         self._velocity = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = [np.empty_like(p.data) for p in self.params]
+        self._scratch: dict[np.dtype, np.ndarray] = {}
+
+    def _scratch_for(self, p: Tensor) -> np.ndarray:
+        """The leading ``p.size`` elements of the dtype's scratch, shaped like
+        ``p``; allocated on first use (or when a parameter's array was
+        replaced by a larger or differently typed one)."""
+        buf = self._scratch.get(p.dtype)
+        if buf is None or buf.size < p.size:
+            size = max(q.size for q in self.params)
+            buf = self._scratch[p.dtype] = np.empty(size, p.dtype)
+        return buf[: p.size].reshape(p.shape)
 
     def step(self) -> None:
-        for p, v, tmp in zip(self.params, self._velocity, self._scratch):
+        for p, v in zip(self.params, self._velocity):
             if p.grad is None:
                 continue
+            tmp = self._scratch_for(p)
             v *= self.momentum
             if self.weight_decay:
                 np.multiply(p.data, self.weight_decay, out=tmp)

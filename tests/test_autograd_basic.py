@@ -21,7 +21,7 @@ from repro.autograd.ops_basic import (
     tanh,
     where,
 )
-from repro.autograd.tensor import Tensor, no_grad, tensor
+from repro.autograd.tensor import Tensor, frozen, no_grad, tensor
 
 
 def t(data, grad=True):
@@ -179,6 +179,27 @@ class TestGraphMechanics:
         assert out.backward_fn is None
         out.backward(np.array([1.0]))  # no-op on a leaf
         assert a.grad is None
+
+    def test_frozen_leaf_gets_no_grad(self):
+        a, b = t([2.0]), t([3.0])
+        with frozen([a]):
+            assert not a.requires_grad
+            out = a * b
+            out.backward(np.array([1.0]))
+        assert a.requires_grad and a.grad is None
+        np.testing.assert_allclose(b.grad, [2.0])
+
+    def test_frozen_records_nothing_when_every_parent_is_frozen(self):
+        a = t([2.0])
+        with frozen([a]):
+            out = a * 2.0
+        assert out.backward_fn is None
+
+    def test_frozen_restores_flags_when_the_block_raises(self):
+        a, b = t([1.0]), Tensor(np.array([1.0]))
+        with pytest.raises(RuntimeError), frozen([a, b]):
+            raise RuntimeError("boom")
+        assert a.requires_grad and not b.requires_grad
 
     def test_detach_cuts_graph(self):
         a = t([1.0])

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.gradcheck import gradcheck
+from repro.autograd.tensor import Tensor, default_dtype, tensor
 from repro.nas.quantization import (
+    QUANT_BLOCK_ELEMS,
     QuantizationConfig,
     fake_quantize,
     mixed_quantize,
+    mixed_quantize_stacked,
     quantization_error,
 )
 
@@ -110,6 +113,107 @@ class TestMixedQuantize:
     def test_shape_mismatch_raises(self, rng):
         with pytest.raises(ValueError, match="match"):
             mixed_quantize(Tensor(np.ones(3)), Tensor(np.ones(2)), (4, 8, 16))
+
+
+def _unblocked_mixed(x, mix, bitwidths):
+    """The Stage-1 mixture as whole-tensor passes (the pre-blocking op)."""
+    max_abs = float(np.max(np.abs(x))) or 1.0
+    out = None
+    for idx, bits in enumerate(bitwidths):
+        if bits >= 32 or max_abs < 1e-30:
+            path = x.copy()
+        else:
+            scale = max_abs / float(2 ** (bits - 1) - 1)
+            path = np.rint(x * (1.0 / scale)) * scale
+        term = path * mix[idx]
+        out = term if out is None else out + term
+    return out
+
+
+# Flat sizes around one and two blocks, and 4-D weights whose row blocks
+# leave a partial block at the end.
+_BLOCK_SHAPES = [
+    (QUANT_BLOCK_ELEMS - 1,), (QUANT_BLOCK_ELEMS + 1,), (2 * QUANT_BLOCK_ELEMS + 3,),
+    (QUANT_BLOCK_ELEMS // 18 + 5, 2, 3, 3), (7, 1, 5, 5),
+]
+
+
+class TestBlockedStage1:
+    """The blockwise kernels behind mixed_quantize / mixed_quantize_stacked."""
+
+    @pytest.mark.parametrize("shape", _BLOCK_SHAPES)
+    @pytest.mark.parametrize("fill", ["normal", "zeros", "subnormal"])
+    @pytest.mark.parametrize("bitwidths", [(4, 8, 16), (8, 16, 32)])
+    def test_float32_forward_equals_unblocked_formula(self, shape, fill, bitwidths):
+        rng = np.random.default_rng(len(shape) + sum(bitwidths))
+        x = rng.standard_normal(shape).astype(np.float32)
+        if fill == "zeros":
+            x[...] = 0.0
+        elif fill == "subnormal":
+            x *= np.float32(1e-32)
+        mix = rng.dirichlet(np.ones(len(bitwidths))).astype(np.float32)
+        with default_dtype(np.float32):
+            out = mixed_quantize(tensor(x), tensor(mix, requires_grad=True), bitwidths)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.data, _unblocked_mixed(x, mix, bitwidths))
+
+    @pytest.mark.parametrize("shape", _BLOCK_SHAPES)
+    def test_phi_grads_are_path_dot_products(self, shape):
+        rng = np.random.default_rng(1)
+        bitwidths = (4, 8, 32)
+        x = rng.standard_normal(shape)
+        g = rng.standard_normal(shape)
+        mix = tensor(np.array([0.2, 0.3, 0.5]), requires_grad=True)
+        mixed_quantize(tensor(x), mix, bitwidths).backward(g)
+        expected = [(g * fake_quantize(tensor(x), b).data).sum() for b in bitwidths]
+        np.testing.assert_allclose(mix.grad, expected, rtol=1e-12, atol=1e-12)
+
+    def test_gradcheck_mixed_quantize(self):
+        rng = np.random.default_rng(2)
+        x = tensor(rng.standard_normal(QUANT_BLOCK_ELEMS + 9))
+        mix = tensor(np.array([0.6, 0.4]), requires_grad=True)
+        upstream = tensor(rng.standard_normal(x.shape))
+        assert gradcheck(lambda a, w: mixed_quantize(a, w, (4, 16)) * upstream,
+                         [x, mix])
+
+    def test_gradcheck_mixed_quantize_stacked(self):
+        """Mixed kernels (a padded window) and a gate shared by two slices."""
+        rng = np.random.default_rng(3)
+        ws = [tensor(rng.standard_normal((5, 2, 3, 3))),
+              tensor(rng.standard_normal((4, 2, 5, 5)))]
+        shared = tensor(np.array([0.2, 0.5, 0.3]), requires_grad=True)
+        own = tensor(np.array([0.1, 0.1, 0.8]), requires_grad=True)
+        upstream = tensor(rng.standard_normal((9, 2, 5, 5)))
+        bits = (4, 8, 16)
+        assert gradcheck(
+            lambda a, b, qa, qb: mixed_quantize_stacked([a, b], [qa, qb], bits)
+            * upstream,
+            [ws[0], ws[1], shared, own],
+        )
+
+    def test_frozen_weight_gets_no_gradient(self):
+        rng = np.random.default_rng(4)
+        x = tensor(rng.standard_normal((6, 3)))
+        mix = tensor(np.array([0.5, 0.5]), requires_grad=True)
+        out = mixed_quantize(x, mix, (4, 8))
+        grad_x, grad_mix = out.backward_fn(np.ones(out.shape))
+        assert grad_x is None and grad_mix.shape == (2,)
+
+    def test_closure_keeps_no_quantised_paths(self):
+        """The backward closure holds the source weight and scalars only,
+        never an array the size of Q paths (or of one quantised path)."""
+        rng = np.random.default_rng(5)
+        x = tensor(rng.standard_normal((64, 16, 3, 3)), requires_grad=True)
+        mix = tensor(np.array([0.2, 0.3, 0.5]), requires_grad=True)
+        for out in (
+            mixed_quantize(x, mix, (4, 8, 16)),
+            mixed_quantize_stacked([x], [mix], (4, 8, 16)),
+        ):
+            cells = [c.cell_contents for c in out.backward_fn.__closure__]
+            arrays = [c for c in cells if isinstance(c, np.ndarray)]
+            arrays += [a for c in cells if isinstance(c, list)
+                       for a in c if isinstance(a, np.ndarray)]
+            assert all(a is x.data or a.size <= 3 for a in arrays)
 
 
 @settings(max_examples=50, deadline=None)

@@ -50,6 +50,42 @@ class TestSGD:
         SGD([p], lr=0.1).step()
         np.testing.assert_allclose(p.data, [1.0])
 
+    def test_shared_scratch_is_bit_identical_to_allocating_update(self):
+        """One scratch buffer, sized to the largest parameter, serves every
+        parameter; updates equal ``v = m*v + (g + wd*p); p -= lr*v``."""
+        rng = np.random.default_rng(0)
+        shapes = [(4, 3, 3, 3), (7,), (2, 5)]
+        params = [
+            Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True,
+                   dtype=np.float32)
+            for s in shapes
+        ]
+        ref = [p.data.copy() for p in params]
+        vel = [np.zeros_like(r) for r in ref]
+        opt = SGD(params, lr=0.05, momentum=0.9, weight_decay=1e-3)
+        for _ in range(3):
+            grads = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            for i, g in enumerate(grads):
+                vel[i] = vel[i] * np.float32(0.9) + (ref[i] * np.float32(1e-3) + g)
+                ref[i] = ref[i] - vel[i] * np.float32(0.05)
+        for p, r in zip(params, ref):
+            np.testing.assert_array_equal(p.data, r)
+        assert [b.size for b in opt._scratch.values()] == [4 * 3 * 3 * 3]
+
+    def test_parameter_replaced_by_another_dtype(self):
+        """A parameter array swapped for another dtype (e.g. restored from a
+        checkpoint written under another dtype policy) still updates."""
+        p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True,
+                   dtype=np.float32)
+        opt = SGD([p], lr=0.5, weight_decay=0.1)
+        p.data = np.ones(3)
+        p.grad = np.ones(3)
+        opt.step()
+        np.testing.assert_allclose(p.data, 1.0 - 0.5 * 1.1)
+
     def test_validation(self):
         p = quadratic_param()
         with pytest.raises(ValueError, match="learning rate"):

@@ -89,6 +89,46 @@ def test_input_grad_skipped_for_graph_external_input():
     np.testing.assert_allclose(w.grad, w_ref.grad, atol=1e-10)
 
 
+@pytest.mark.parametrize("shape", [
+    (3, 2, 40, 30, 2),  # weight larger than a sample's operands: folded GEMM
+    (3, 2, 4, 3, 50),   # small weight, long rows: per-sample products
+    (1, 1, 6, 5, 7),    # one sample: the folded layout is a view
+])
+def test_batch_folded_weight_grad(shape):
+    n, groups, p, q, l = shape
+    rng = np.random.default_rng(sum(shape))
+    g = rng.normal(size=(n, groups, p, l))
+    cols = rng.normal(size=(n, groups, q, l))
+    np.testing.assert_allclose(
+        ops_nn._batch_folded_gemm(g, cols),
+        np.einsum("ngpl,ngql->gpq", g, cols), rtol=1e-12, atol=1e-12,
+    )
+
+
+@pytest.mark.parametrize("groups,chunk", [(1, False), (2, False), (1, True), (4, False)])
+def test_frozen_weight_gets_no_weight_grad(groups, chunk):
+    """A weight outside the graph gets None; the input gradient is unchanged
+    (dense, grouped, batch-chunked and depthwise convs)."""
+    rng = np.random.default_rng(7)
+    x = tensor(rng.normal(size=(3, 4, 7, 7)), requires_grad=True)
+    w = tensor(rng.normal(size=(4, 4 // groups, 3, 3)))  # no requires_grad
+    original = ops_nn._COL_CHUNK_BYTES
+    if chunk:
+        ops_nn._COL_CHUNK_BYTES = 1 << 10
+    try:
+        out = conv2d(x, w, stride=2, padding=1, groups=groups)
+    finally:
+        ops_nn._COL_CHUNK_BYTES = original
+    grad = rng.normal(size=out.shape)
+    assert out.backward_fn(grad)[1] is None
+    out.backward(grad)
+    x_ref = tensor(x.data, requires_grad=True)
+    out_ref = _reference_conv2d(x_ref, tensor(w.data), stride=2, padding=1,
+                                groups=groups)
+    out_ref.backward(grad)
+    np.testing.assert_allclose(x.grad, x_ref.grad, atol=1e-10)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 3),
