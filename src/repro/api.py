@@ -29,6 +29,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
 import pickle
 import tempfile
@@ -155,9 +156,14 @@ class EstimateRequest:
         if isinstance(self.targets, str):
             self.targets = (self.targets,)
         self.targets = tuple(self.targets)
-        if isinstance(self.bits, int):
+        if isinstance(self.bits, (numbers.Number, str)):
             self.bits = (self.bits,)
-        self.bits = tuple(self.bits)
+        for bits in self.bits:
+            # Only a sub-menu width is clamped (with a note); a non-integer
+            # or non-positive width is an error, not a silent 8-bit record.
+            if isinstance(bits, bool) or not isinstance(bits, numbers.Integral) or bits < 1:
+                raise ValueError(f"bits must be integers >= 1, got {bits!r}")
+        self.bits = tuple(int(bits) for bits in self.bits)
         if not self.models:
             raise ValueError("EstimateRequest needs at least one model")
 

@@ -11,7 +11,7 @@ from repro.core.checkpoint import (
 from repro.core.config import EDDConfig
 from repro.core.engine import EngineRun, EpochContext, SearchEngine
 from repro.core.loss import combined_loss
-from repro.core.cosearch import EDDSearcher, build_hardware_model, build_supernet
+from repro.core.cosearch import EDDSearcher, build_supernet
 from repro.core.parallel import ParallelEvaluator, evaluate_parallel
 from repro.core.results import (
     EpochRecord,
@@ -20,6 +20,7 @@ from repro.core.results import (
     TrainResult,
 )
 from repro.core.trainer import evaluate_network, train_from_spec
+from repro.hw.registry import build_hardware_model
 
 __all__ = [
     "CheckpointCallback",

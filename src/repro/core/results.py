@@ -8,6 +8,7 @@ from typing import Any
 import numpy as np
 
 from repro.nas.arch_spec import ArchSpec
+from repro.utils.numeric import softmax
 
 
 @dataclass
@@ -57,11 +58,24 @@ class SearchResult:
         """Human-readable label of the chosen op per block."""
         return list(self.spec.metadata.get("op_labels", []))
 
+    @property
+    def theta_margins(self) -> list[float]:
+        """Per-block softmax(Theta) top-1 minus top-2 probability, in [0, 1].
+
+        Near 0 the derived op is a near-tie that last-bit rounding can flip;
+        near 1 Theta has settled on it.
+        """
+        probs = np.sort(softmax(self.theta, axis=-1), axis=-1)
+        if probs.shape[-1] < 2:
+            return [1.0] * probs.shape[0]
+        return (probs[:, -1] - probs[:, -2]).tolist()
+
     def to_dict(self) -> dict[str, Any]:
         """Plain-JSON form of the full search outcome."""
         return {
             "spec": self.spec.summary(),
             "op_labels": self.op_labels,
+            "theta_margins": self.theta_margins,
             "block_bits": self.spec.metadata.get("block_bits"),
             "parallel_factors": self.parallel_factors,
             "history": [r.to_dict() for r in self.history],

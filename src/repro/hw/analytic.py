@@ -58,14 +58,33 @@ def _gpu_layer_us(layer: ResolvedLayer, device: GPUDevice, weight_bits: int) -> 
     return prec * (device.kind_overhead_us[kind] + max(compute_s, memory_s) * 1e6)
 
 
+def gpu_layer_latencies_us(
+    spec: ArchSpec, device: GPUDevice, weight_bits: int = 32
+) -> list[float]:
+    """The per-layer GPU pass: batch-1 µs of each of ``spec.layers()``,
+    before the device calibration scale.
+
+    Latency (:func:`gpu_latency_from_layers_ms`) and energy
+    (:func:`repro.hw.energy.gpu_energy_from_layers_mj`) are both built on
+    this one pass.
+    """
+    return [_gpu_layer_us(layer, device, weight_bits) for layer in spec.layers()]
+
+
+def gpu_latency_from_layers_ms(layer_us: list[float], device: GPUDevice) -> float:
+    """Whole-network latency (ms) from :func:`gpu_layer_latencies_us`."""
+    return sum(layer_us) / 1e3 * device.calibration_scale
+
+
 def gpu_latency_ms(spec: ArchSpec, device: GPUDevice, weight_bits: int = 32) -> float:
     """Batch-1 inference latency estimate in milliseconds.
 
     ``weight_bits`` is the deployed precision: baselines in Table 1 run at
     32-bit, while the EDD-Nets deploy their co-searched precision (16-bit).
     """
-    total_us = sum(_gpu_layer_us(layer, device, weight_bits) for layer in spec.layers())
-    return total_us / 1e3 * device.calibration_scale
+    return gpu_latency_from_layers_ms(
+        gpu_layer_latencies_us(spec, device, weight_bits), device
+    )
 
 
 # ----------------------------------------------------------------- recursive FPGA

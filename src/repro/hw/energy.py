@@ -19,10 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.tensor import Tensor
+from repro.hw.analytic import gpu_layer_latencies_us
 from repro.hw.base import HwEvaluation
-from repro.hw.device import GPUDevice, TITAN_RTX
+from repro.hw.device import GPUDevice, TITAN_RTX, layer_kind_key
 from repro.hw.gpu import GPUModel, mbconv_gpu_latency_us
 from repro.hw.perf_loss import latency_sum, multi_objective
+from repro.nas.arch_spec import ResolvedLayer
 from repro.nas.quantization import QuantizationConfig
 from repro.nas.space import BlockGeometry, CandidateOp, SearchSpaceConfig
 from repro.nas.supernet import SampledArch
@@ -104,16 +106,19 @@ class GPUEnergyModel(GPUModel):
         )
 
 
-def gpu_energy_mj(spec, device: GPUDevice = TITAN_RTX, weight_bits: int = 32) -> float:
-    """Analytic whole-network energy estimate (millijoules) for an ArchSpec."""
-    from repro.hw.analytic import _gpu_layer_us
-    from repro.hw.device import layer_kind_key
+def gpu_energy_from_layers_mj(
+    layers: tuple[ResolvedLayer, ...], layer_us: list[float], device: GPUDevice
+) -> float:
+    """Whole-network energy (mJ) from the per-layer GPU pass.
 
+    ``layer_us`` is :func:`~repro.hw.analytic.gpu_layer_latencies_us` of the
+    spec whose ``layers()`` these are.
+    """
     peak = PEAK_POWER_W.get(device.name, 250.0)
     idle = IDLE_POWER_W.get(device.name, 50.0)
     total_mj = 0.0
-    for layer in spec.layers():
-        latency_us = _gpu_layer_us(layer, device, weight_bits) * device.calibration_scale
+    for layer, us in zip(layers, layer_us):
+        latency_us = us * device.calibration_scale
         if layer.kind in ("pool", "shuffle"):
             utilisation = 0.05
         else:
@@ -124,3 +129,10 @@ def gpu_energy_mj(spec, device: GPUDevice = TITAN_RTX, weight_bits: int = 32) ->
         power = idle + (peak - idle) * utilisation
         total_mj += power * latency_us * 1e-6 * 1e3
     return total_mj
+
+
+def gpu_energy_mj(spec, device: GPUDevice = TITAN_RTX, weight_bits: int = 32) -> float:
+    """Analytic whole-network energy estimate (millijoules) for an ArchSpec."""
+    return gpu_energy_from_layers_mj(
+        spec.layers(), gpu_layer_latencies_us(spec, device, weight_bits), device
+    )

@@ -36,7 +36,8 @@ from repro.hw.analytic import (
     UnsupportedNetworkError,
     fpga_pipelined_report,
     fpga_recursive_latency_ms,
-    gpu_latency_ms,
+    gpu_latency_from_layers_ms,
+    gpu_layer_latencies_us,
 )
 from repro.hw.base import HardwareModel
 from repro.hw.device import (
@@ -50,7 +51,7 @@ from repro.hw.device import (
     FPGADevice,
     GPUDevice,
 )
-from repro.hw.energy import gpu_energy_mj
+from repro.hw.energy import gpu_energy_from_layers_mj
 from repro.hw.fpga import FPGAModel
 from repro.hw.gpu import GPUModel
 from repro.nas.quantization import QuantizationConfig
@@ -288,10 +289,11 @@ register_device("bit-serial-edge", BIT_SERIAL_EDGE)
 
 # -- the paper's targets ------------------------------------------------------
 def _estimate_gpu(spec: "ArchSpec", device: Device, bits: int) -> EstimateOutcome:
+    layer_us = gpu_layer_latencies_us(spec, device, weight_bits=bits)
     return EstimateOutcome(
         metric="latency_ms",
-        value=gpu_latency_ms(spec, device, weight_bits=bits),
-        extras={"energy_mj": gpu_energy_mj(spec, device, weight_bits=bits)},
+        value=gpu_latency_from_layers_ms(layer_us, device),
+        extras={"energy_mj": gpu_energy_from_layers_mj(spec.layers(), layer_us, device)},
     )
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 from repro.hw.analytic import (
     _gpu_layer_us,
     fpga_pipelined_report,
+    gpu_latency_from_layers_ms,
+    gpu_layer_latencies_us,
 )
 from repro.hw.device import FPGADevice, GPUDevice, layer_kind_key
 from repro.nas.arch_spec import ArchSpec, ResolvedLayer
@@ -100,17 +102,15 @@ def gpu_plan(spec: ArchSpec, device: GPUDevice, weight_bits: int = 32) -> str:
         f"GPU deployment plan: {spec.name} on {device.name} ({weight_bits}-bit)",
         f"{'#':>3s} {'kernel':10s} {'shape':>28s} {'MACs':>9s} {'us':>8s}",
     ]
-    total_us = 0.0
-    for i, layer in enumerate(spec.layers()):
-        us = _gpu_layer_us(layer, device, weight_bits)
-        total_us += us
+    layer_us = gpu_layer_latencies_us(spec, device, weight_bits)
+    for i, (layer, us) in enumerate(zip(spec.layers(), layer_us)):
         lines.append(
             f"{i:3d} {_layer_name(layer):10s} {_shape(layer):>28s} "
             f"{layer.macs / 1e6:8.2f}M {us:8.1f}"
         )
     lines.append(
-        f"\nbatch-1 latency: {total_us / 1e3 * device.calibration_scale:.2f} ms "
-        f"({len(spec.layers())} kernels)"
+        f"\nbatch-1 latency: {gpu_latency_from_layers_ms(layer_us, device):.2f} ms "
+        f"({len(layer_us)} kernels)"
     )
     return "\n".join(lines)
 

@@ -27,7 +27,11 @@ from dataclasses import dataclass, field, replace
 
 @dataclass(frozen=True)
 class ResolvedLayer:
-    """One concrete layer with fully resolved geometry."""
+    """One concrete layer with fully resolved geometry.
+
+    The derived counts (``macs``, ``params``, activations) are computed once,
+    when the layer is built, and are frozen with the geometry.
+    """
 
     kind: str
     kernel: int
@@ -40,42 +44,30 @@ class ResolvedLayer:
     out_h: int
     out_w: int
     block_index: int = -1  # which high-level block produced this layer
+    #: Multiply-accumulate count (the paper's Eq. 12 workload terms).
+    macs: int = field(init=False, repr=False, compare=False)
+    params: int = field(init=False, repr=False, compare=False)
+    input_activations: int = field(init=False, repr=False, compare=False)
+    output_activations: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def macs(self) -> int:
-        """Multiply-accumulate count (the paper's Eq. 12 workload terms)."""
+    def __post_init__(self) -> None:
+        k2 = self.kernel * self.kernel
         if self.kind == "conv":
-            return (
-                self.kernel
-                * self.kernel
-                * self.out_h
-                * self.out_w
-                * (self.in_ch // self.groups)
-                * self.out_ch
-            )
-        if self.kind == "dwconv":
-            return self.kernel * self.kernel * self.out_h * self.out_w * self.in_ch
-        if self.kind == "fc":
-            return self.in_ch * self.out_ch
-        return 0  # pool / shuffle move data but do no MACs
-
-    @property
-    def params(self) -> int:
-        if self.kind == "conv":
-            return self.kernel * self.kernel * (self.in_ch // self.groups) * self.out_ch
-        if self.kind == "dwconv":
-            return self.kernel * self.kernel * self.in_ch
-        if self.kind == "fc":
-            return self.in_ch * self.out_ch + self.out_ch
-        return 0
-
-    @property
-    def input_activations(self) -> int:
-        return self.in_ch * self.in_h * self.in_w
-
-    @property
-    def output_activations(self) -> int:
-        return self.out_ch * self.out_h * self.out_w
+            params = k2 * (self.in_ch // self.groups) * self.out_ch
+            macs = params * self.out_h * self.out_w
+        elif self.kind == "dwconv":
+            params = k2 * self.in_ch
+            macs = params * self.out_h * self.out_w
+        elif self.kind == "fc":
+            macs = self.in_ch * self.out_ch
+            params = macs + self.out_ch
+        else:  # pool / shuffle move data but do no MACs
+            macs = params = 0
+        set_ = object.__setattr__
+        set_(self, "macs", macs)
+        set_(self, "params", params)
+        set_(self, "input_activations", self.in_ch * self.in_h * self.in_w)
+        set_(self, "output_activations", self.out_ch * self.out_h * self.out_w)
 
 
 class Block:
@@ -326,14 +318,31 @@ class ArchSpec:
     weight_bits: int | None = None
     metadata: dict = field(default_factory=dict)
 
-    def layers(self) -> list[ResolvedLayer]:
-        """Resolve every block into concrete layers, walking the geometry."""
+    def layers(self) -> tuple[ResolvedLayer, ...]:
+        """Resolve every block into concrete layers, walking the geometry.
+
+        The resolution is kept on the instance and reused until ``blocks``,
+        ``input_size`` or ``input_channels`` change (blocks are frozen, so
+        the tuple of blocks identifies the geometry).  It is returned as a
+        tuple of frozen layers, so callers cannot alter it.
+        """
+        key = (tuple(self.blocks), self.input_size, self.input_channels)
+        cached = self.__dict__.get("_resolved")
+        if cached is not None and cached[0] == key:
+            return cached[1]
         resolved: list[ResolvedLayer] = []
         ch, h, w = self.input_channels, self.input_size, self.input_size
         for index, block in enumerate(self.blocks):
             layers, ch, h, w = block.expand(ch, h, w, index)
             resolved.extend(layers)
-        return resolved
+        self._resolved = (key, tuple(resolved))
+        return self._resolved[1]
+
+    def __getstate__(self) -> dict:
+        # The resolution is rebuilt on demand; do not ship it in pickles.
+        state = dict(self.__dict__)
+        state.pop("_resolved", None)
+        return state
 
     # -- aggregate statistics -------------------------------------------------
     def total_macs(self) -> int:

@@ -1,6 +1,7 @@
 """Unit tests for the stable ``repro.api`` facade."""
 
 import json
+import re
 
 import pytest
 
@@ -61,6 +62,21 @@ class TestEstimate:
         record = report.records[0]
         assert record.bits == 16 and record.clamped
         assert "clamped to 16-bit" in record.note
+
+    @pytest.mark.parametrize("bad", [1.5, True, 0, -8, "16"])
+    def test_bad_bits_raise_naming_the_value(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            api.EstimateRequest(models=["ResNet18"], bits=[bad])
+        with pytest.raises(ValueError, match="bits must be integers >= 1"):
+            api.estimate(models=["ResNet18"], bits=bad)
+
+    def test_sub_menu_bits_still_clamp(self):
+        report = api.estimate(
+            models=["ResNet18"], targets=["fpga_recursive"], bits=[3]
+        )
+        record = report.records[0]
+        assert (record.requested_bits, record.bits, record.clamped) == (3, 4, True)
+        assert "clamped to 4-bit" in record.note
 
     def test_unsupported_network_does_not_sink_batch(self):
         report = api.estimate(

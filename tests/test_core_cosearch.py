@@ -8,45 +8,13 @@ import pytest
 import repro.core.cosearch as cosearch
 from repro.autograd.tensor import default_dtype
 from repro.core.config import EDDConfig
-from repro.core.cosearch import (
-    EDDSearcher,
-    build_hardware_model,
-    build_supernet,
-    quantization_for_target,
-)
-from repro.hw.fpga import FPGAModel
-from repro.hw.gpu import GPUModel
-from repro.hw.accel import BitSerialAccelModel
+from repro.core.cosearch import EDDSearcher, build_supernet
+from repro.core.results import SearchResult
+from repro.nas.arch_spec import ArchSpec, FCBlock, StemBlock
+from repro.utils.numeric import softmax
 
 
 class TestBuilders:
-    def test_quantization_per_target(self):
-        # The cosearch-level wrappers are deprecated thin shims over
-        # repro.hw.registry; they must warn but keep working.
-        with pytest.warns(DeprecationWarning, match="quantization_for_target"):
-            assert quantization_for_target("gpu").sharing == "global"
-        with pytest.warns(DeprecationWarning):
-            assert quantization_for_target("fpga_recursive").sharing == "per_op"
-            assert quantization_for_target("fpga_pipelined").sharing == "per_block_op"
-            assert quantization_for_target("accel").sharing == "per_block_op"
-        with pytest.raises(ValueError), pytest.warns(DeprecationWarning):
-            quantization_for_target("tpu")
-
-    def test_hardware_model_per_target(self, tiny_space):
-        with pytest.warns(DeprecationWarning, match="build_hardware_model"):
-            assert isinstance(
-                build_hardware_model(tiny_space, EDDConfig(target="gpu")), GPUModel
-            )
-        with pytest.warns(DeprecationWarning):
-            rec = build_hardware_model(tiny_space, EDDConfig(target="fpga_recursive"))
-            assert isinstance(rec, FPGAModel) and rec.architecture == "recursive"
-            pipe = build_hardware_model(tiny_space, EDDConfig(target="fpga_pipelined"))
-            assert isinstance(pipe, FPGAModel) and pipe.architecture == "pipelined"
-            assert isinstance(
-                build_hardware_model(tiny_space, EDDConfig(target="accel")),
-                BitSerialAccelModel,
-            )
-
     def test_supernet_matches_target(self, tiny_space):
         net = build_supernet(tiny_space, EDDConfig(target="fpga_recursive"))
         assert net.quant.sharing == "per_op"
@@ -273,6 +241,18 @@ class TestSearchLoop:
         path = to_json_file(result.to_dict(), tmp_path / "result.json")
         assert path.exists()
 
+    def test_theta_margins_follow_the_derived_ops(self, searcher):
+        result = searcher.search()
+        margins = result.to_dict()["theta_margins"]
+        assert len(margins) == searcher.space.num_blocks
+        assert all(0.0 <= m <= 1.0 for m in margins)
+        labels = [op.label for op in searcher.space.candidate_ops()]
+        probs = softmax(result.theta)
+        for block, label in enumerate(result.op_labels):
+            top1 = labels.index(label)
+            runner_up = np.delete(probs[block], top1).max()
+            assert margins[block] == pytest.approx(probs[block, top1] - runner_up)
+
     def test_deterministic_given_seed(self, tiny_space, tiny_splits):
         config = EDDConfig(target="gpu", epochs=1, batch_size=8,
                            arch_start_epoch=0, seed=9)
@@ -311,3 +291,21 @@ class TestSearchLoop:
             tracemalloc.stop()
         assert peak - baseline > 1 << 20  # the search did allocate
         assert retained < 0.05 * (peak - baseline)
+
+
+class TestThetaMargins:
+    def _result(self, theta):
+        spec = ArchSpec("t", [StemBlock(out_ch=4), FCBlock(out_features=2)])
+        return SearchResult(spec=spec, history=[], theta=np.asarray(theta),
+                            phi=np.zeros(3), parallel_factors=None, search_seconds=0.0)
+
+    def test_uniform_theta_is_undecided(self):
+        assert self._result(np.zeros((3, 4))).theta_margins == [0.0, 0.0, 0.0]
+
+    def test_margin_is_top1_minus_top2_probability(self):
+        theta = np.log([[0.7, 0.2, 0.1], [0.25, 0.25, 0.5], [1e-9, 1.0, 1e-9]])
+        margins = self._result(theta).theta_margins
+        np.testing.assert_allclose(margins, [0.5, 0.25, 1.0], atol=1e-8)
+
+    def test_single_candidate_is_decided(self):
+        assert self._result(np.zeros((2, 1))).theta_margins == [1.0, 1.0]

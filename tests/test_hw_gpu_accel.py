@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from repro.hw.accel import BitSerialAccelModel
+from repro.hw.analytic import gpu_latency_ms
 from repro.hw.device import GTX_1080TI, TITAN_RTX
 from repro.hw.gpu import GPUModel, mbconv_gpu_latency_us
 from repro.nas.quantization import QuantizationConfig
-from repro.nas.space import BlockGeometry, CandidateOp
+from repro.nas.space import BlockGeometry, CandidateOp, SearchSpaceConfig
 from repro.nas.supernet import SuperNet, constant_sample
 
 pytestmark = pytest.mark.usefixtures("float64_numerics")
@@ -73,6 +74,32 @@ class TestGPUModel:
         model.evaluate(sample).perf_loss.backward()
         assert np.abs(net.theta.grad).sum() > 0
         assert np.abs(net.phi.grad).sum() > 0
+
+
+class TestTableMatchesAnalytic:
+    """The differentiable (N, M, Q) table is a hand copy of the analytic
+    per-layer GPU model: for any block choices, analytic latency minus the
+    chosen table entries must be one constant per bit-width (the fixed stem
+    and head)."""
+
+    @pytest.mark.parametrize("space", [
+        SearchSpaceConfig.reduced(), SearchSpaceConfig.paper_scale(),
+    ], ids=["reduced", "paper"])
+    def test_offset_is_constant_per_bitwidth(self, space):
+        quant = QuantizationConfig.gpu()
+        table = GPUModel(space, quant, device=TITAN_RTX).latency_table_us
+        ops = space.candidate_ops()
+        rng = np.random.default_rng(0)
+        blocks = np.arange(space.num_blocks)
+        for k, bits in enumerate(quant.bitwidths):
+            offsets = []
+            for _ in range(8):
+                choices = rng.integers(len(ops), size=space.num_blocks)
+                spec = space.spec_for_choices([ops[j] for j in choices])
+                table_ms = table[blocks, choices, k].sum() / 1e3
+                offsets.append(gpu_latency_ms(spec, TITAN_RTX, bits) - table_ms)
+            assert offsets[0] > 0
+            assert max(offsets) - min(offsets) <= 1e-10 * offsets[0], (bits, offsets)
 
 
 class TestBitSerialAccel:

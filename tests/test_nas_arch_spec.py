@@ -1,5 +1,8 @@
 """Unit tests for the ArchSpec IR: geometry resolution, MACs, rendering."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,47 @@ class TestGeometryResolution:
                         input_size=8, input_channels=4)
         kinds = [l.kind for l in spec.layers()]
         assert kinds == ["dwconv", "conv", "fc"]
+
+
+class TestResolveOnce:
+    """``layers()`` resolves once per geometry and re-resolves on edits."""
+
+    def test_repeat_calls_share_one_resolution(self):
+        spec = simple_spec()
+        layers = spec.layers()
+        assert isinstance(layers, tuple)
+        assert spec.layers() is layers
+
+    def test_layers_are_frozen(self):
+        layer = simple_spec().layers()[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layer.macs = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layer.out_ch = 0
+
+    @pytest.mark.parametrize("edit", [
+        lambda spec: spec.blocks.insert(1, ConvBlock(out_ch=6)),
+        lambda spec: spec.blocks.__setitem__(1, SepConvBlock(kernel=5, out_ch=16)),
+        lambda spec: spec.blocks.pop(1),
+        lambda spec: setattr(spec, "blocks", [StemBlock(out_ch=4), FCBlock(out_features=3)]),
+        lambda spec: setattr(spec, "input_size", 32),
+        lambda spec: setattr(spec, "input_channels", 1),
+    ], ids=["insert", "setitem", "pop", "replace-list", "input-size", "input-channels"])
+    def test_edits_re_resolve(self, edit):
+        spec = simple_spec()
+        before = spec.layers()
+        edit(spec)
+        fresh = ArchSpec("fresh", list(spec.blocks), spec.input_size, spec.input_channels)
+        assert spec.layers() == fresh.layers()
+        assert spec.layers() != before
+        assert spec.total_macs() == sum(l.macs for l in fresh.layers())
+
+    def test_pickle_drops_and_rebuilds_resolution(self):
+        spec = simple_spec()
+        layers = spec.layers()
+        clone = pickle.loads(pickle.dumps(spec))
+        assert "_resolved" not in clone.__dict__
+        assert clone == spec and clone.layers() == layers
 
 
 class TestMacsAndParams:
